@@ -470,6 +470,24 @@ int main(int argc, char** argv) {
                  stderr);
       return 1;
     }
+    // Later jobs of a kind repeat earlier jobs' sample sets bit for bit,
+    // so the run's selection memo must serve some of their fits.
+    if (counters10k.value("svc.fit_memo.hits") != sharded10k.fit_memo_hits ||
+        counters10k.value("svc.fit_memo.misses") !=
+            sharded10k.fit_memo_misses ||
+        sharded10k.fit_memo_hits == 0 || single10k.fit_memo_hits == 0) {
+      std::fprintf(stderr,
+                   "smoke FAIL: fit memo counters (published hits %llu "
+                   "misses %llu, result hits %zu misses %zu, single-loop "
+                   "hits %zu)\n",
+                   static_cast<unsigned long long>(
+                       counters10k.value("svc.fit_memo.hits")),
+                   static_cast<unsigned long long>(
+                       counters10k.value("svc.fit_memo.misses")),
+                   sharded10k.fit_memo_hits, sharded10k.fit_memo_misses,
+                   single10k.fit_memo_hits);
+      return 1;
+    }
     if (warm.probe_blocks >= cold.probe_blocks) {
       std::fprintf(stderr,
                    "smoke FAIL: warm run probed %zu blocks, cold %zu -- "

@@ -62,11 +62,21 @@ void ScriptPlayer::run() {
   }
   const auto t0 = Clock::now();
   for (const auto& event : script_.sorted()) {
-    const auto due =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(event.time_s *
-                                               options_.time_scale));
-    std::this_thread::sleep_until(due);
+    if (options_.clock) {
+      const auto give_up = Clock::now() + options_.arm_timeout;
+      while (options_.clock() < event.time_s) {
+        if (Clock::now() >= give_up) {
+          dropped_ = script_.events.size() - delivered_;
+          return;
+        }
+        std::this_thread::sleep_for(options_.poll);
+      }
+    } else {
+      std::this_thread::sleep_until(
+          t0 + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(event.time_s *
+                                                 options_.time_scale)));
+    }
     target_.deliver(event);
     ++delivered_;
   }

@@ -61,7 +61,10 @@ class NetFaultTarget final : public FaultTarget {
 /// `time_scale`) from the moment the `armed` predicate first returns true
 /// — typically "the run is demonstrably in flight" (first block served),
 /// the same anchor the hand-written failover tests use, so fault delivery
-/// cannot race run startup.
+/// cannot race run startup. With a `clock`, script times are read off that
+/// clock instead, e.g. the run's progress mapped onto the script's
+/// timeline, so a fault lands at the same point of the run however fast
+/// the host executes it.
 class ScriptPlayer {
  public:
   struct Options {
@@ -73,7 +76,12 @@ class ScriptPlayer {
     std::chrono::milliseconds poll{1};
     /// Give up arming after this long (the run finished too fast); the
     /// remaining events are dropped and dropped_events() reports them.
+    /// With a `clock`, also the longest wait for the clock to reach the
+    /// next event's time.
     std::chrono::milliseconds arm_timeout{10'000};
+    /// Script time source, in script seconds, polled once armed. Unset:
+    /// wall seconds since arming divided by time_scale.
+    std::function<double()> clock;
   };
 
   /// Validates eagerly: aborts on a script the target cannot realize

@@ -71,6 +71,7 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   units_ = units;
   work_ = work;
   profiles_.reset(units.size(), work.total_grains);
+  profiles_.use_memo(options_.fit_memo);
 
   initial_block_ = options_.initial_block ? options_.initial_block
                                           : std::max<std::size_t>(

@@ -71,6 +71,10 @@ struct PlbHecOptions {
   std::size_t refinements = 2;
   /// Curve-fit configuration (r2_threshold is the paper's 0.7).
   fit::SelectionOptions fit;
+  /// Run-scoped model-selection memo shared by every scheduler of one
+  /// service run (not owned). The service sets it; null everywhere else,
+  /// so a standalone scheduler always selects afresh.
+  fit::SelectionMemo* fit_memo = nullptr;
   /// Interior-point block-selection configuration.
   solver::BlockSelectionOptions selection;
   /// Per-unit warm-start profiles (the service layer loads these from its

@@ -11,12 +11,6 @@
 namespace plbhec::fit {
 namespace {
 
-/// kAuto cutover: below this many samples the QR path is both cheap and
-/// the historical numerical reference (exact fits on 2-5 points are where
-/// normal-equation cancellation would perturb the BIC tie-breaking); at and
-/// above it the O(k^3) moment solve wins and agrees with QR to ~1e-9.
-constexpr std::size_t kGramMinSamples = 8;
-
 /// Builds the design matrix for a term subset.
 linalg::Matrix design_matrix(const SampleSet& samples,
                              std::span<const BasisFn> terms) {
@@ -248,6 +242,12 @@ FitResult select_model_from(const SampleSet& samples,
       if (!fitted) continue;
 
       if (fitted->bic < best_any.bic - 1e-12) best_any = *fitted;
+      // The plausibility grid costs more than the fit; a candidate that
+      // would improve neither running best cannot change the result, so
+      // it is never checked.
+      if (!(fitted->bic < best_plausible.bic - 1e-12 ||
+            fitted->bic < best_of_class.bic - 1e-12))
+        continue;
       if (options.physical_filter &&
           !physically_plausible(fitted->model, x_lo))
         continue;

@@ -23,6 +23,12 @@ enum class FitEngine {
           ///< a conditioning fallback)
 };
 
+/// kAuto cutover: below this many samples the QR path is both cheap and
+/// the historical numerical reference (exact fits on 2-5 points are where
+/// normal-equation cancellation would perturb the BIC tie-breaking); at and
+/// above it the O(k^3) moment solve wins and agrees with QR to ~1e-9.
+inline constexpr std::size_t kGramMinSamples = 8;
+
 /// Counters describing which path fits actually took; callers aggregate
 /// them into scheduler statistics.
 struct FitCounters {

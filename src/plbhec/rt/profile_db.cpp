@@ -112,7 +112,9 @@ ProfileDb::CacheEntry& ProfileDb::exec_entry(
   }
 
   fit::FitCounters counters;
-  fit::FitResult fitted = fit::select_model(exec_[u], options, &counters);
+  fit::FitResult fitted =
+      memo_ ? memo_->select(exec_[u], options, &counters)
+            : fit::select_model(exec_[u], options, &counters);
   bump(counters_.fits_computed);
   bump(counters_.gram_solves, counters.gram_solves);
   bump(counters_.qr_solves, counters.qr_solves);

@@ -17,6 +17,7 @@
 
 #include "plbhec/fit/least_squares.hpp"
 #include "plbhec/fit/samples.hpp"
+#include "plbhec/fit/selection_memo.hpp"
 #include "plbhec/rt/types.hpp"
 
 namespace plbhec::rt {
@@ -50,7 +51,9 @@ struct WarmProfile {
 /// Aggregate fit-pipeline statistics: cache effectiveness and which
 /// numerical path the subset solves took.
 struct FitStats {
-  std::size_t fits_computed = 0;  ///< exec-curve model selections solved
+  /// Exec-curve model selections the per-version cache missed: solved, or
+  /// served by the attached SelectionMemo.
+  std::size_t fits_computed = 0;
   std::size_t fits_cached = 0;    ///< selections served from the cache
   std::size_t gram_solves = 0;    ///< subset fits via cached moments
   std::size_t qr_solves = 0;      ///< subset fits via design-matrix QR
@@ -63,6 +66,10 @@ class ProfileDb {
   ProfileDb(std::size_t units, std::size_t total_grains);
 
   void reset(std::size_t units, std::size_t total_grains);
+
+  /// Serves per-version cache misses from `memo` (not owned; null = always
+  /// select afresh). The memo must outlive every later fit call.
+  void use_memo(fit::SelectionMemo* memo) { memo_ = memo; }
 
   /// Records a completed task's profile (bumps the unit's sample version,
   /// invalidating its cached fits).
@@ -136,6 +143,7 @@ class ProfileDb {
   std::vector<fit::SampleSet> exec_;
   std::vector<fit::SampleSet> transfer_;
   std::size_t total_grains_ = 1;
+  fit::SelectionMemo* memo_ = nullptr;
 
   mutable std::vector<UnitCache> cache_;
   /// Mutated through std::atomic_ref (fit_all fans units across threads);

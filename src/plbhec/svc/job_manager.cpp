@@ -161,6 +161,9 @@ struct ServiceSim {
   std::vector<Rng> unit_rng;
   std::vector<JobRt> jobs;
   std::vector<ShardRt> shards;
+  /// Model selections of this run, shared by all its schedulers and shard
+  /// loops; dies with the run, so every run starts cold.
+  fit::SelectionMemo memo;
   ServiceResult res;
 
   ServiceSim(const sim::SimCluster& c, const ServiceOptions& o,
@@ -270,7 +273,7 @@ struct ServiceSim {
   }
 
   [[nodiscard]] rt::WarmProfile warm_for(const JobRt& job, JobId id,
-                                         rt::UnitId g) const {
+                                         rt::UnitId g) {
     if (!options.warm_start) return {};
     // Prefer the job's own observations (same workload instance, same
     // unit) over the cross-job store; they exist from the second epoch on.
@@ -279,8 +282,7 @@ struct ServiceSim {
       warm.exec = job.exec_obs[g].items();
       warm.transfer = job.transfer_obs[g].items();
       warm.total_grains = static_cast<double>(job.total);
-      warm.stored_r2 =
-          fit::select_model(job.exec_obs[g], options.scheduler.fit).r2;
+      warm.stored_r2 = memo.select(job.exec_obs[g], options.scheduler.fit).r2;
       warm.exec_moments = job.exec_obs[g].moments().snapshot();
       warm.transfer_moments = job.transfer_obs[g].moments().snapshot();
       warm.has_moments = true;
@@ -366,6 +368,7 @@ struct ServiceSim {
     } else {
       core::PlbHecOptions opt = options.scheduler;
       opt.warm = std::move(warm);
+      opt.fit_memo = &memo;
       if (opt.max_block_seconds <= 0.0 && options.preempt_windows > 0.0) {
         opt.max_block_seconds =
             options.preempt_windows * best_window_seconds(job, sh.now);
@@ -632,7 +635,7 @@ struct ServiceSim {
       ProfileEntry entry =
           make_entry(specs[id].app_kind, kind, job.exec_obs[g],
                      job.transfer_obs[g], static_cast<double>(job.total),
-                     options.scheduler.fit);
+                     options.scheduler.fit, &memo);
       if (nshards == 1) {
         store.put(std::move(entry));
       } else {
@@ -1016,6 +1019,8 @@ struct ServiceSim {
       res.reprobe_blocks += out.reprobe_blocks;
       res.reprobe_swaps += out.reprobe_swaps;
     }
+    res.fit_memo_hits = memo.hits();
+    res.fit_memo_misses = memo.misses();
     if (res.makespan > 0.0 && n > 0) {
       res.utilization =
           res.busy_unit_seconds / (static_cast<double>(n) * res.makespan);
@@ -1071,6 +1076,8 @@ ServiceResult JobManager::run() {
     reg->add("svc.shards", sim.res.shards_used);
     reg->add("svc.broker.rounds", sim.res.broker_rounds);
     reg->add("svc.broker.migrations", sim.res.broker_migrations);
+    reg->add("svc.fit_memo.hits", sim.res.fit_memo_hits);
+    reg->add("svc.fit_memo.misses", sim.res.fit_memo_misses);
   }
   return std::move(sim.res);
 }

@@ -117,6 +117,8 @@ struct ServiceResult {
   std::size_t shards_used = 1;        ///< effective shard-loop count
   std::size_t broker_rounds = 0;      ///< barrier synchronisations (shards > 1)
   std::size_t broker_migrations = 0;  ///< unit ownership moves between shards
+  std::size_t fit_memo_hits = 0;    ///< model selections served by the memo
+  std::size_t fit_memo_misses = 0;  ///< model selections solved afresh
 };
 
 struct ServiceOptions {

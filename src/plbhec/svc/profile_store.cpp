@@ -148,7 +148,8 @@ const char* to_string(StoreLoadStatus status) {
 ProfileEntry make_entry(std::string app_kind, std::string device_kind,
                         const fit::SampleSet& exec,
                         const fit::SampleSet& transfer, double total_grains,
-                        const fit::SelectionOptions& fit_options) {
+                        const fit::SelectionOptions& fit_options,
+                        fit::SelectionMemo* memo) {
   PLBHEC_EXPECTS(total_grains > 0.0);
   ProfileEntry entry;
   entry.app_kind = std::move(app_kind);
@@ -175,7 +176,8 @@ ProfileEntry make_entry(std::string app_kind, std::string device_kind,
   entry.exec_moments = exec_set.moments().snapshot();
   entry.transfer_moments = transfer_set.moments().snapshot();
 
-  const fit::FitResult fitted = fit::select_model(exec_set, fit_options);
+  const fit::FitResult fitted = memo ? memo->select(exec_set, fit_options)
+                                     : fit::select_model(exec_set, fit_options);
   entry.exec_model = fitted.model;
   entry.stored_r2 = fitted.r2;
   entry.transfer_model = fit::fit_transfer(transfer_set);

@@ -73,13 +73,15 @@ struct ProfileEntry {
 
 /// Builds a store entry from one job's per-unit observation sets: trims to
 /// the sample cap (most recent kept, moments rebuilt by replay), fits the
-/// models and records the acceptance R^2 the warm-start gate checks.
+/// models and records the acceptance R^2 the warm-start gate checks. The
+/// exec-curve selection goes through `memo` when one is given.
 [[nodiscard]] ProfileEntry make_entry(std::string app_kind,
                                       std::string device_kind,
                                       const fit::SampleSet& exec,
                                       const fit::SampleSet& transfer,
                                       double total_grains,
-                                      const fit::SelectionOptions& fit_options);
+                                      const fit::SelectionOptions& fit_options,
+                                      fit::SelectionMemo* memo = nullptr);
 
 class ProfileStore {
  public:

@@ -382,7 +382,11 @@ TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
   // Real side: unit 0 is coordinator-local, units 1 and 2 are daemons.
   // The player arms once both daemons have served a block (the run is
   // demonstrably in flight on every scripted unit), then replays the
-  // same script in wall time.
+  // same script on a progress clock: script time advances with the grains
+  // executed, so the last event (the kill) lands once three quarters of
+  // the grains are done and the freeze near the start. A wall clock would
+  // race the run itself: on a fast host the whole workload finishes
+  // before 0.6 s and the kill never lands mid-run.
   std::vector<rt::UnitId> net_order;
   {
     net::WorkerDaemon d1({0, "wd1", 1.0});
@@ -398,15 +402,17 @@ TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
         std::make_unique<net::RemoteUnit>(steady_rig_options(d2.port())));
     rt::ThreadEngine engine(rt::ThreadEngineOptions{}, std::move(units));
 
-    // Sized to keep the run in flight well past the last scripted event
-    // (~1 s+ of work on three units) so the kill cannot race run
-    // completion even on a fast machine.
     apps::SyntheticWorkload workload(apps::SyntheticWorkload::Config{
         40'000, 1e6, 64.0, 16.0, 2.0, 0.97, 0.5, 0.5, 6'000});
 
     ScriptPlayer::Options options;
     options.armed = [&] {
       return d1.blocks_served() > 0 && d2.blocks_served() > 0;
+    };
+    const double span = script.sorted().back().time_s / 0.75;
+    options.clock = [&workload, span] {
+      return span * static_cast<double>(workload.executed_grains()) /
+             static_cast<double>(workload.total_grains());
     };
     ScriptPlayer player(script, target, std::move(options));
     player.start();

@@ -133,6 +133,11 @@ struct GeneratedCurve {
   double (*fn)(double);
 };
 
+// Print the label, not gtest's default byte dump: the dump holds the two
+// pointers, so the listed test names would change with every process's
+// address layout.
+void PrintTo(const GeneratedCurve& gc, std::ostream* os) { *os << gc.label; }
+
 class SelectRecovers : public ::testing::TestWithParam<GeneratedCurve> {};
 
 TEST_P(SelectRecovers, PredictsHeldOutPoints) {

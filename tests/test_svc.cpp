@@ -331,6 +331,25 @@ TEST(JobManager, ReplayIsDeterministic) {
   }
 }
 
+TEST(JobManager, FitMemoServesRepeatedSelectionsAndPublishesCounters) {
+  // Jobs of one kind repeat each other's sample sets bit for bit (no
+  // noise, same units); the run's memo serves those selections.
+  sim::SimCluster cluster(sim::scenario(2));
+  obs::CounterRegistry counters;
+  ServiceOptions options = quiet_options();
+  options.counters = &counters;
+  JobManager manager(cluster, options);
+  for (int i = 0; i < 4; ++i)
+    manager.submit(synthetic_job("s" + std::to_string(i), "syn-s",
+                                 PriorityClass::kNormal, 0.5 * i, 4'000));
+  const ServiceResult result = manager.run();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_GT(result.fit_memo_hits, 0u);
+  EXPECT_GT(result.fit_memo_misses, 0u);
+  EXPECT_EQ(counters.value("svc.fit_memo.hits"), result.fit_memo_hits);
+  EXPECT_EQ(counters.value("svc.fit_memo.misses"), result.fit_memo_misses);
+}
+
 TEST(JobManager, AdmissionQueueHonorsPriorityThenFifo) {
   sim::SimCluster cluster(sim::scenario(1));
   ServiceOptions options = quiet_options();

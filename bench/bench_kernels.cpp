@@ -1,6 +1,8 @@
 // Performance-backbone microbenchmark: packed GEMM micro-kernel GFLOP/s
-// against the seed scalar kernel, and per-block dispatch overhead of the
-// persistent work-stealing pool against the seed's spawn/join pattern.
+// against the seed scalar kernel, the per-row cost of thin row blocks
+// (row_cost_ratio = us/row of a 1-row call over us/row of a full product),
+// and per-block dispatch overhead of the persistent work-stealing pool
+// against the seed's spawn/join pattern.
 // Emits JSON (stdout, plus an output path if given) so the perf trajectory
 // of the real-execution path is tracked from PR 1 onward; see
 // bench/results/bench_kernels.json for the committed numbers. `--smoke`
@@ -109,6 +111,42 @@ GemmTimes bench_gemm(std::size_t n, double budget) {
   return out;
 }
 
+/// Per-row cost of thin row blocks, the call shape a scheduler's small
+/// blocks and a remote unit's chunks produce: the row-streaming path keeps
+/// a 1-row call within a small factor of a full product's per-row cost.
+struct RowCost {
+  std::size_t m = 0;
+  double per_row_us = 0.0;
+};
+
+std::vector<RowCost> bench_gemm_rows(std::size_t n,
+                                     const std::vector<std::size_t>& ms,
+                                     double budget) {
+  plbhec::Rng rng(0x7005 + n);
+  std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);
+  for (auto& v : a) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  std::vector<RowCost> out;
+  for (const std::size_t m : ms) {
+    const auto call = [&] {
+      plbhec::linalg::blas::gemm(m, n, n, {a.data(), m * n},
+                                 {b.data(), n * n}, {c.data(), m * n});
+    };
+    call();  // warm-up
+    double best = 1e300;
+    double elapsed = 0.0;
+    for (std::size_t reps = 0; elapsed < budget || reps < 3; ++reps) {
+      const Clock::time_point t0 = Clock::now();
+      call();
+      const double s = seconds_since(t0);
+      best = std::min(best, s);
+      elapsed += s;
+    }
+    out.push_back({m, best / static_cast<double>(m) * 1e6});
+  }
+  return out;
+}
+
 struct DispatchTimes {
   double spawn_join_us = 0.0;    ///< seed pattern: threads spawned per block
   double pool_dispatch_us = 0.0; ///< persistent pool parallel_for per block
@@ -180,6 +218,23 @@ int main(int argc, char** argv) {
     json += buf;
   }
   json += "  ],\n";
+
+  const std::size_t rows_n = 1024;
+  const std::vector<RowCost> rows =
+      bench_gemm_rows(rows_n, {1, 4, 7, 32, 1024}, budget);
+  json += "  \"gemm_rows\": {\"n\": " + std::to_string(rows_n) +
+          ", \"rows\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"m\": %zu, \"per_row_us\": %.2f}%s\n", rows[i].m,
+                  rows[i].per_row_us, i + 1 < rows.size() ? "," : "");
+    json += buf;
+  }
+  char ratio[96];
+  std::snprintf(ratio, sizeof(ratio), "  ], \"row_cost_ratio\": %.2f},\n",
+                rows.front().per_row_us / rows.back().per_row_us);
+  json += ratio;
 
   const unsigned lanes = 4;
   const DispatchTimes d = bench_dispatch(lanes, smoke);

@@ -1,6 +1,7 @@
 #include "plbhec/exec/gemm_micro.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "plbhec/exec/gemm_micro_detail.hpp"
@@ -46,8 +47,9 @@ void pack_a(const double* a, std::size_t k, std::size_t i0, std::size_t mr,
 }
 
 /// Portable micro-kernel: the fixed-trip-count loops over a 4x8 local
-/// accumulator fully unroll, so -O3 keeps the block in vector registers
-/// and contracts the multiply-adds into FMAs where the target has them.
+/// accumulator fully unroll, so -O3 keeps the block in vector registers.
+/// This TU is built with -ffp-contract=off: the multiply-adds stay
+/// unfused on every target, as in the row-streaming steps below.
 void gemm_micro_scalar(std::size_t kc, const double* ap, const double* bp,
                        double* c, std::size_t ldc, std::size_t mr,
                        std::size_t nr) {
@@ -69,6 +71,39 @@ PLBHEC_REGISTER_KERNEL(kdisp::kGemmMicroKernel, kdisp::IsaClass::kScalar,
 PLBHEC_REGISTER_KERNEL(kdisp::kGemmMicroKernel, kdisp::IsaClass::kScalar,
                        kdisp::WidthClass::kWide, gemm_micro_scalar);
 
+/// Portable row-streaming steps: one rounded multiply and one rounded add
+/// per kk, as in gemm_micro_scalar.
+struct ScalarRows {
+  static void rows4(double* x, std::size_t nb, const double* a,
+                    const double* b, std::size_t ldb) {
+    const double a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
+    const double* b1 = b + ldb;
+    const double* b2 = b1 + ldb;
+    const double* b3 = b2 + ldb;
+    for (std::size_t j = 0; j < nb; ++j) {
+      double v = x[j];
+      v += a0 * b[j];
+      v += a1 * b1[j];
+      v += a2 * b2[j];
+      v += a3 * b3[j];
+      x[j] = v;
+    }
+  }
+  static void rows1(double* x, std::size_t nb, double a0, const double* b) {
+    for (std::size_t j = 0; j < nb; ++j) x[j] += a0 * b[j];
+  }
+};
+
+void gemm_rows_scalar(std::size_t m, std::size_t n, std::size_t k,
+                      const double* a, const double* b, double* c) {
+  detail::stream_rows<ScalarRows>(m, n, k, a, b, c);
+}
+
+PLBHEC_REGISTER_KERNEL(kdisp::kGemmRowsKernel, kdisp::IsaClass::kScalar,
+                       kdisp::WidthClass::kNarrow, gemm_rows_scalar);
+PLBHEC_REGISTER_KERNEL(kdisp::kGemmRowsKernel, kdisp::IsaClass::kScalar,
+                       kdisp::WidthClass::kWide, gemm_rows_scalar);
+
 }  // namespace
 
 namespace detail {
@@ -81,10 +116,22 @@ namespace {
 /// n, the micro-kernel's vectorizable trip count. Resolved per top-level
 /// call (one mutex-guarded lookup amortized over the whole product) so a
 /// pinned PLBHEC_KDISP_FORCE / test ceiling always takes effect.
-kdisp::GemmMicroFn* resolve_micro(std::size_t n) {
+kdisp::GemmMicroFn* resolve_micro(std::size_t n,
+                                  kdisp::Selection* chosen = nullptr) {
   detail::link_gemm_avx2_kernel();
   return kdisp::KernelRegistry::instance().select<kdisp::GemmMicroFn>(
-      kdisp::kGemmMicroKernel, kdisp::classify_width(n));
+      kdisp::kGemmMicroKernel, kdisp::classify_width(n), chosen);
+}
+
+/// The row-streaming kernel paired with a micro-kernel of ISA `isa`, or
+/// null when none was registered at exactly that ISA: streaming is
+/// bit-identical to the packed path only within one ISA's rounding.
+kdisp::GemmRowsFn* resolve_rows(std::size_t n, kdisp::IsaClass isa) {
+  const std::optional<kdisp::Selection> sel =
+      kdisp::KernelRegistry::instance().lookup(
+          kdisp::kGemmRowsKernel, kdisp::classify_width(n), isa);
+  if (!sel.has_value() || sel->isa != isa) return nullptr;
+  return reinterpret_cast<kdisp::GemmRowsFn*>(sel->fn);
 }
 
 /// Multiplies row block [i0, i0+rows) against the packed B panel.
@@ -121,7 +168,15 @@ std::vector<double>& pack_buffer_a() {
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  const double* b, double* c) {
   if (m == 0 || n == 0 || k == 0) return;
-  kdisp::GemmMicroFn* const micro = resolve_micro(n);
+  kdisp::Selection chosen;
+  kdisp::GemmMicroFn* const micro = resolve_micro(n, &chosen);
+  // Thin row blocks: packing all of B would cost more than the product.
+  if (m < 2 * kGemmMr) {
+    if (kdisp::GemmRowsFn* const rows = resolve_rows(n, chosen.isa)) {
+      rows(m, n, k, a, b, c);
+      return;
+    }
+  }
   const std::size_t nstrips = (n + kGemmNr - 1) / kGemmNr;
   std::vector<double>& bpack = pack_buffer_b();
   for (std::size_t k0 = 0; k0 < k; k0 += kGemmKc) {

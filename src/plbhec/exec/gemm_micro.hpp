@@ -9,6 +9,11 @@
 /// and an explicit AVX2+FMA variant in gemm_micro_avx2.cpp, and one binary
 /// picks the best the host can execute (override with PLBHEC_KDISP_FORCE).
 ///
+/// Thin row blocks (m < 2 * MR) skip the packing: a row-streaming kernel
+/// of the micro-kernel's ISA reads each B row once for all m rows. It runs
+/// the same ops per C element as the packed path, so a product does not
+/// depend on how its rows are split into calls.
+///
 /// Semantics match linalg::blas::gemm: row-major C (m x n) += A (m x k)
 /// * B (k x n), leading dimensions equal to the logical widths.
 

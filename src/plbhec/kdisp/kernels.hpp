@@ -5,7 +5,8 @@
 /// exactly this signature; apps resolve it with
 /// KernelRegistry::select<XxxFn>(kXxxKernel, width).
 ///
-/// Bit-identity contract (everything except `gemm`, see registry.hpp):
+/// Bit-identity contract (everything except `gemm` and `gemm_rows`, see
+/// registry.hpp):
 /// variants of one family must produce byte-identical outputs. The
 /// reduction families (spmv, nbody) fix the summation tree to 4-lane
 /// accumulator blocking over the length-rounded-down-to-4 prefix, the
@@ -27,6 +28,10 @@ inline constexpr const char* kNbodyKernel = "nbody";
 /// GEMM micro-kernel (exec/gemm_micro); variants here are NOT bit-identical
 /// (AVX2 uses FMA) — see the contract note in registry.hpp.
 inline constexpr const char* kGemmMicroKernel = "gemm";
+/// Row-streaming GEMM for thin row blocks (exec/gemm_micro). Registered
+/// under the same (ISA, width) keys as `gemm`, and bit-identical to the
+/// `gemm` variant of the same ISA (not across ISAs).
+inline constexpr const char* kGemmRowsKernel = "gemm_rows";
 
 /// CSR SpMV over the row range [row_begin, row_end):
 ///   y[i] = sum_j vals[j] * x[cols[j]],  j in [row_ptr[i], row_ptr[i+1]).
@@ -61,5 +66,13 @@ using NbodyAccelFn = void(const double* px, const double* py,
 using GemmMicroFn = void(std::size_t kc, const double* ap, const double* bp,
                          double* c, std::size_t ldc, std::size_t mr,
                          std::size_t nr);
+
+/// Row-streaming GEMM: row-major C (m x n) += A (m x k) * B (k x n), leading
+/// dimensions equal to the logical widths, for m < 2 * MR. Nothing is
+/// packed: each B row is read once for all m rows. Per C element the op
+/// sequence equals the same-ISA GemmMicroFn path's (per KC panel the
+/// accumulator starts at 0, kk ascends, then C += acc).
+using GemmRowsFn = void(std::size_t m, std::size_t n, std::size_t k,
+                        const double* a, const double* b, double* c);
 
 }  // namespace plbhec::kdisp

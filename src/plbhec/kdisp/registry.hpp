@@ -22,11 +22,12 @@
 /// different ISAs exchange results that are byte-compared by the replay
 /// and identity gates. The new workload families keep the contract by
 /// fixing the reduction tree (4-lane accumulator blocking, one hsum
-/// order) and banning FMA contraction in every variant TU; `gemm` is the
-/// documented exception (its AVX2 variant uses FMA, so its variants agree
-/// only to rounding — matmul ships results, never re-reduces them, and
-/// its identity gates compare runs of one process, which dispatches
-/// uniformly).
+/// order) and banning FMA contraction in every variant TU; `gemm` and
+/// `gemm_rows` are the documented exception (their AVX2 variants use FMA,
+/// so their variants agree only to rounding — matmul ships results, never
+/// re-reduces them, and its identity gates compare runs of one process,
+/// which dispatches uniformly). Within one ISA, `gemm_rows` is
+/// bit-identical to `gemm`.
 
 #include <cstdint>
 #include <mutex>

@@ -1,24 +1,30 @@
 // Tests for the shared execution backbone: the packed GEMM micro-kernel
-// against a naive reference on adversarial shapes, the persistent
-// work-stealing pool (nesting, exceptions, tiny pools), the reusable
-// WorkerSet, and the ThreadEngine regression that probe samples exclude
-// thread startup.
+// against a naive reference on adversarial shapes, the row-streaming
+// path's bit-identity with the packed one, the persistent work-stealing
+// pool (nesting, exceptions, tiny pools), the reusable WorkerSet, and the
+// ThreadEngine regression that probe samples exclude thread startup.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "plbhec/apps/matmul.hpp"
 #include "plbhec/apps/synthetic.hpp"
 #include "plbhec/common/rng.hpp"
 #include "plbhec/exec/gemm_micro.hpp"
 #include "plbhec/exec/thread_pool.hpp"
 #include "plbhec/exec/worker_set.hpp"
+#include "plbhec/kdisp/isa.hpp"
+#include "plbhec/kdisp/kernels.hpp"
+#include "plbhec/kdisp/registry.hpp"
 #include "plbhec/rt/thread_engine.hpp"
 
 namespace plbhec::exec {
@@ -88,6 +94,130 @@ TEST(GemmPacked, ParallelMatchesSerialIncludingSmallM) {
     for (std::size_t i = 0; i < m * n; ++i) ASSERT_DOUBLE_EQ(c1[i], c2[i]);
   }
 }
+
+// ---- Row-streaming path: bit-identical to the packed kernel -----------------
+//
+// gemm_packed streams B row by row for m < 2*MR and packs otherwise. Every
+// C element's op sequence is the same on both paths, so the product of a
+// row never depends on how many rows the call carries. Each case runs
+// under the forced-scalar ceiling and under the default one.
+
+std::vector<double> random_vector(std::size_t size, Rng& rng) {
+  std::vector<double> v(size);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+std::uint64_t gemm_rows_lookups() {
+  std::uint64_t lookups = 0;
+  for (const kdisp::DispatchRecord& r :
+       kdisp::KernelRegistry::instance().resolved())
+    if (r.kernel == kdisp::kGemmRowsKernel) lookups += r.lookups;
+  return lookups;
+}
+
+class GemmRowsIdentity : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam())
+      previous_ =
+          kdisp::set_effective_isa_for_testing(kdisp::IsaClass::kScalar);
+  }
+  void TearDown() override {
+    if (previous_.has_value())
+      kdisp::set_effective_isa_for_testing(*previous_);
+  }
+
+ private:
+  std::optional<kdisp::IsaClass> previous_;
+};
+
+TEST_P(GemmRowsIdentity, StreamingEqualsPackedBitwise) {
+  const std::uint64_t lookups_before = gemm_rows_lookups();
+  // A packed call on m + 2*MR rows yields the packed product of the first
+  // m rows: rows never interact, and m + 8 rows is past the streaming
+  // threshold.
+  constexpr std::size_t kPad = 8;
+  Rng rng(0x57ea);
+  // 19 and 301 are wide (vector variants) with column tails; 301 also
+  // ends in a partial column block.
+  for (const std::size_t n : {1u, 3u, 7u, 8u, 13u, 19u, 64u, 301u, 1024u}) {
+    for (const std::size_t k : {1u, 3u, 255u, 256u, 257u, 600u}) {
+      const std::vector<double> b = random_vector(k * n, rng);
+      for (std::size_t m = 1; m < 8; ++m) {
+        const std::vector<double> a = random_vector((m + kPad) * k, rng);
+        std::vector<double> packed = random_vector((m + kPad) * n, rng);
+        std::vector<double> streamed(packed.begin(), packed.begin() + m * n);
+        gemm_packed(m + kPad, n, k, a.data(), b.data(), packed.data());
+        gemm_packed(m, n, k, a.data(), b.data(), streamed.data());
+        ASSERT_EQ(std::memcmp(streamed.data(), packed.data(),
+                              m * n * sizeof(double)),
+                  0)
+            << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
+  // Signed zeros: a zero A row over mixed-sign B gives +0 and -0
+  // products. Both paths start each accumulator at +0, so with k = 1 a -0
+  // in C must end as +0 even where the product is -0.
+  {
+    constexpr std::size_t m = 3, n = 64, k = 1;
+    const std::vector<double> a((m + kPad) * k, 0.0);
+    const std::vector<double> b = random_vector(k * n, rng);
+    std::vector<double> packed((m + kPad) * n, -0.0);
+    std::vector<double> streamed(m * n, -0.0);
+    gemm_packed(m + kPad, n, k, a.data(), b.data(), packed.data());
+    gemm_packed(m, n, k, a.data(), b.data(), streamed.data());
+    EXPECT_EQ(
+        std::memcmp(streamed.data(), packed.data(), m * n * sizeof(double)),
+        0);
+  }
+  // The streaming path really ran (it resolves gemm_rows per call).
+  EXPECT_GT(gemm_rows_lookups(), lookups_before);
+}
+
+TEST_P(GemmRowsIdentity, RowSplitsEqualOneCall) {
+  Rng rng(0x5b1);
+  for (const auto [m, n, k] : {std::array<std::size_t, 3>{40, 64, 300},
+                               std::array<std::size_t, 3>{40, 1024, 257},
+                               std::array<std::size_t, 3>{23, 13, 600}}) {
+    const std::vector<double> a = random_vector(m * k, rng);
+    const std::vector<double> b = random_vector(k * n, rng);
+    const std::vector<double> c0 = random_vector(m * n, rng);
+    std::vector<double> whole = c0;
+    gemm_packed(m, n, k, a.data(), b.data(), whole.data());
+    for (int split = 0; split < 8; ++split) {
+      std::vector<double> pieces = c0;
+      for (std::size_t i = 0; i < m;) {
+        // Mixed sizes on both sides of the threshold: 1..12 rows.
+        const std::size_t rows =
+            std::min(m - i, static_cast<std::size_t>(rng.uniform_int(1, 12)));
+        gemm_packed(rows, n, k, a.data() + i * k, b.data(),
+                    pieces.data() + i * n);
+        i += rows;
+      }
+      ASSERT_EQ(
+          std::memcmp(pieces.data(), whole.data(), m * n * sizeof(double)), 0)
+          << "m=" << m << " n=" << n << " k=" << k << " split " << split;
+    }
+  }
+}
+
+TEST_P(GemmRowsIdentity, MatMulRowBlocksEqualOneBlock) {
+  constexpr std::size_t kN = 256;
+  apps::MatMulWorkload rows(kN, /*materialize=*/true);
+  apps::MatMulWorkload whole(kN, /*materialize=*/true);
+  for (std::size_t i = 0; i < kN; ++i) rows.execute_cpu(i, i + 1);
+  whole.execute_cpu(0, kN);
+  ASSERT_EQ(std::memcmp(rows.result().data(), whole.result().data(),
+                        kN * kN * sizeof(double)),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ceilings, GemmRowsIdentity, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ForcedScalar" : "Default";
+                         });
 
 // ---- Work-stealing pool -----------------------------------------------------
 

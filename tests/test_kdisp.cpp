@@ -65,8 +65,8 @@ TEST(KdispTable, EffectiveIsaNeverExceedsHost) {
 
 TEST(KdispTable, EveryFamilyHasAScalarWideVariant) {
   KernelRegistry& reg = KernelRegistry::instance();
-  for (const char* kernel :
-       {kSpmvKernel, kStencilKernel, kNbodyKernel, kGemmMicroKernel}) {
+  for (const char* kernel : {kSpmvKernel, kStencilKernel, kNbodyKernel,
+                             kGemmMicroKernel, kGemmRowsKernel}) {
     const auto sel = reg.lookup(kernel, WidthClass::kWide, IsaClass::kScalar);
     ASSERT_TRUE(sel.has_value()) << kernel;
     EXPECT_EQ(sel->isa, IsaClass::kScalar) << kernel;
@@ -77,8 +77,8 @@ TEST(KdispTable, EveryFamilyHasAScalarWideVariant) {
 
 TEST(KdispTable, DownwardScanNeverExceedsTheCeiling) {
   KernelRegistry& reg = KernelRegistry::instance();
-  for (const char* kernel :
-       {kSpmvKernel, kStencilKernel, kNbodyKernel, kGemmMicroKernel}) {
+  for (const char* kernel : {kSpmvKernel, kStencilKernel, kNbodyKernel,
+                             kGemmMicroKernel, kGemmRowsKernel}) {
     for (const IsaClass ceiling :
          {IsaClass::kScalar, IsaClass::kAvx2, IsaClass::kAvx512}) {
       const auto sel = reg.lookup(kernel, WidthClass::kWide, ceiling);
@@ -116,6 +116,24 @@ TEST(KdispTable, NarrowWidthFallsBackToScalar) {
   }
 }
 
+TEST(KdispTable, GemmRowsResolvesToTheSameIsaAsGemm) {
+  // The packed driver streams thin row blocks only through a gemm_rows
+  // variant of exactly the micro-kernel's ISA; the pairing must hold for
+  // every width class at every ceiling, or a host would silently lose
+  // the streaming path (or mix roundings).
+  KernelRegistry& reg = KernelRegistry::instance();
+  for (const WidthClass width : {WidthClass::kNarrow, WidthClass::kWide}) {
+    for (const IsaClass ceiling :
+         {IsaClass::kScalar, IsaClass::kAvx2, IsaClass::kAvx512}) {
+      const auto gemm = reg.lookup(kGemmMicroKernel, width, ceiling);
+      const auto rows = reg.lookup(kGemmRowsKernel, width, ceiling);
+      ASSERT_TRUE(gemm.has_value() && rows.has_value());
+      EXPECT_EQ(rows->isa, gemm->isa)
+          << to_string(width) << " at " << to_string(ceiling);
+    }
+  }
+}
+
 TEST(KdispTable, UnknownKernelIsNulloptNotAbort) {
   EXPECT_FALSE(KernelRegistry::instance()
                    .lookup("no-such-kernel", WidthClass::kWide)
@@ -123,10 +141,10 @@ TEST(KdispTable, UnknownKernelIsNulloptNotAbort) {
 }
 
 TEST(KdispTable, VariantRosterIsComplete) {
-  // 8 scalar (4 families x 2 widths) + 4 AVX2 wide + 1 AVX-512 stencil.
+  // 10 scalar (5 families x 2 widths) + 5 AVX2 wide + 1 AVX-512 stencil.
   // Registration is unconditional — variants are always compiled in and
   // gated at lookup time — so the count is host-independent.
-  EXPECT_GE(KernelRegistry::instance().variant_count(), 13u);
+  EXPECT_GE(KernelRegistry::instance().variant_count(), 16u);
 }
 
 TEST(KdispTable, LookupsAreAuditedAndPublished) {

@@ -16,8 +16,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <latch>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -1039,23 +1041,92 @@ TEST(Reactor, ConcurrentCoordinatorsLoseZeroGrainsWhenDaemonIsKilled) {
 
 // ---- Engine detach contract -----------------------------------------------
 
+/// Forwards to a SyntheticWorkload and holds every block that starts once
+/// `threshold` grains are done until release(). A test can then act at a
+/// point of run progress instead of after a wall-clock delay, which a fast
+/// host outruns.
+class ProgressGate final : public rt::Workload {
+ public:
+  ProgressGate(apps::SyntheticWorkload& inner, std::uint64_t threshold)
+      : inner_(inner), threshold_(threshold) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::size_t total_grains() const override {
+    return inner_.total_grains();
+  }
+  [[nodiscard]] double bytes_per_grain() const override {
+    return inner_.bytes_per_grain();
+  }
+  [[nodiscard]] sim::WorkloadProfile profile() const override {
+    return inner_.profile();
+  }
+  [[nodiscard]] bool supports_real_execution() const override { return true; }
+
+  void execute_cpu(std::size_t begin, std::size_t end) override {
+    {
+      std::unique_lock lock(mutex_);
+      cv_.wait(lock, [&] { return released_ || done_ < threshold_; });
+    }
+    inner_.execute_cpu(begin, end);
+    {
+      const std::lock_guard lock(mutex_);
+      done_ += end - begin;
+    }
+    cv_.notify_all();
+  }
+
+  /// Waits until `threshold` grains are done; false on timeout.
+  bool wait_for_threshold(std::chrono::seconds timeout) {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return done_ >= threshold_; });
+  }
+
+  void release() {
+    {
+      const std::lock_guard lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  apps::SyntheticWorkload& inner_;
+  const std::uint64_t threshold_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::uint64_t done_ = 0;  ///< grains executed, guarded by mutex_
+  bool released_ = false;   ///< guarded by mutex_
+};
+
 TEST(Detach, MidRunDetachReassignsRemainingWork) {
+  constexpr std::uint64_t kGrains = 5000;
   rt::ThreadEngineOptions opts;
   opts.slowdowns = {1.0, 1.0, 1.0};
   rt::ThreadEngine engine(opts);
   apps::SyntheticWorkload workload(
-      apps::SyntheticWorkload::Config{5000, 1e6, 64.0, 16.0, 2.0, 0.97, 0.5,
+      apps::SyntheticWorkload::Config{kGrains, 1e6, 64.0, 16.0, 2.0, 0.97, 0.5,
                                       0.5, 2000});
+  // Detach once 1% of the grains are done; blocks starting after that
+  // wait for the detach, so it always lands mid-run.
+  ProgressGate gate(workload, kGrains / 100);
+  bool fired = false;
+  std::uint64_t executed_at_detach = kGrains;
   std::thread detacher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    engine.detach_unit(2);
+    fired = gate.wait_for_threshold(std::chrono::seconds(30));
+    if (fired) {
+      engine.detach_unit(2);
+      executed_at_detach = workload.executed_grains();
+    }
+    gate.release();
   });
   core::PlbHecScheduler plb;
-  const rt::RunResult r = engine.run(workload, plb);
+  const rt::RunResult r = engine.run(gate, plb);
   detacher.join();
 
+  ASSERT_TRUE(fired);
+  EXPECT_LT(executed_at_detach, kGrains);  // grains still outstanding
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(workload.executed_grains(), 5000u);
+  EXPECT_EQ(workload.executed_grains(), kGrains);
   EXPECT_TRUE(engine.is_detached(2));
   EXPECT_EQ(engine.active_unit_count(), 2u);
 }

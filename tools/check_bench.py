@@ -45,6 +45,11 @@ the cold run on the same trace, independent of the baseline.
 beat the synchronous protocol by at least 25% on the machine running
 the gate, not merely stay in the baseline's neighborhood.
 
+``row_cost_ratio`` (bench_kernels ``gemm_rows``) carries an *absolute*
+4.0 ceiling: a 1-row GEMM call at n=1024 may cost at most 4x the per-row
+time of a full 1024-row product. Without the row-streaming path a 1-row
+call repacks all of B and the ratio sits near 15.
+
 ``bench_matrix`` JSONs (the scenario-grid chaos harness) additionally
 pass through :class:`WinRateGate`, which is *absolute* rather than
 baseline-relative: ``win_rate`` (the fraction of grid cells where
@@ -141,6 +146,7 @@ TAIL_GATES = {
 ABS_CEIL_GATES = {
     "pipelined_vs_sync_makespan_ratio": 0.75,
     "warm_vs_cold_makespan_ratio": 1.05,
+    "row_cost_ratio": 4.0,
 }
 class WinRateGate:
     """Absolute gate for bench_matrix (scenario-grid chaos harness) JSONs.
@@ -503,6 +509,8 @@ def self_test():
         "pipeline_bit_identical": True,
         "pipeline_lost_grains": 0,
         "pipeline_demoted": True,
+        # bench_kernels gemm_rows: thin-row cost over full-product cost.
+        "row_cost_ratio": 2.5,
     }
 
     def variant(**overrides):
@@ -562,6 +570,10 @@ def self_test():
          variant(sharded_speedup=0.75), False),
         ("collapsed sharded_speedup fails",
          variant(sharded_speedup=0.3), True),
+        ("row cost ratio 3.9 under absolute ceiling passes",
+         variant(row_cost_ratio=3.9), False),
+        ("row cost ratio 4.1 over absolute ceiling fails",
+         variant(row_cost_ratio=4.1), True),
         ("warm run 4% over cold passes the absolute ceiling",
          variant(warm_vs_cold_makespan_ratio=1.04), False),
         ("warm run 6% over cold fails the absolute ceiling",

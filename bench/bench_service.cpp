@@ -12,12 +12,10 @@
 // not beat the cold run on probing blocks or when two warm replays from
 // identical store images diverge (completion order or makespan).
 //
-// A second section replays a 10k-job Poisson trace through the sharded
-// coordinator (ServiceOptions::shards) and through the classic single
-// event loop, reporting p50/p95/p99 job stretch and queue wait (virtual
-// time, deterministic), the shard/broker counters, the wall-clock of
-// both coordinators and their throughput ratio (sharded_speedup), and a
-// digest of the sharded completion order for replay identity.
+// A second section replays a 10k-job Poisson trace through the service's
+// event loop once, reporting p50/p95/p99 job stretch and queue wait
+// (virtual time, deterministic), the loop's wall-clock, and a digest of
+// the completion order for replay identity.
 
 #include <algorithm>
 #include <cmath>
@@ -177,7 +175,7 @@ double percentile(std::vector<double> values, double p) {
 }
 
 /// FNV-1a 64 digest of a completion order + makespan bits: one identity
-/// token for "the sharded 10k replay came out exactly the same".
+/// token for "the 10k replay came out exactly the same".
 std::uint64_t order_digest(const svc::ServiceResult& r) {
   std::uint64_t h = 14695981039346656037ULL;
   const auto mix = [&h](std::uint64_t v) {
@@ -194,17 +192,16 @@ std::uint64_t order_digest(const svc::ServiceResult& r) {
   return h;
 }
 
-/// One 10k-trace coordinator pass; wall-clock is the DES throughput
+/// One 10k-trace service pass; wall-clock is the DES throughput
 /// measurement, everything inside the result is virtual time.
 svc::ServiceResult run_trace10k(const sim::SimCluster& cluster,
                                 const std::vector<svc::JobSpec>& trace,
-                                std::size_t shards, std::uint64_t seed,
+                                std::uint64_t seed,
                                 plbhec::obs::CounterRegistry* counters,
                                 double* wall_seconds) {
   svc::ServiceOptions options;
   options.noise = sim::NoiseModel::none();
   options.seed = seed;
-  options.shards = shards;
   options.counters = counters;
   svc::JobManager manager(cluster, options);
   for (const svc::JobSpec& spec : trace) manager.submit(spec);
@@ -284,18 +281,15 @@ int main(int argc, char** argv) {
     if (!solo.count(spec.app_kind))
       solo[spec.app_kind] = solo_makespan(cluster, spec, seed);
 
-  // --- 10k-job Poisson trace: sharded coordinator vs single event loop.
+  // --- 10k-job Poisson trace through the service's event loop.
   // Same seed discipline as the 12-job section but a synthetic kind pool
-  // (see synthetic_pool()); no profile store, so both passes start cold
-  // and the comparison is pure coordinator throughput. Tail metrics come
-  // from the sharded pass (the scaled-out configuration this trace exists
-  // to exercise).
+  // (see synthetic_pool()); no profile store, so the pass starts cold and
+  // its wall-clock is pure coordinator throughput.
   // The gap puts the offered load around 85% of cluster capacity (mean
   // service demand is ~0.037 s/unit per job): queues form and drain, so
   // the tails reflect the scheduler rather than an unbounded backlog.
   const std::size_t jobs10k = 10'000;
   const double mean_gap10k = 0.045;
-  const std::size_t shards10k = std::min<std::size_t>(4, units);
   const std::vector<svc::JobSpec> trace10k =
       make_trace(jobs10k, seed, mean_gap10k, synthetic_pool());
 
@@ -304,26 +298,20 @@ int main(int argc, char** argv) {
     if (!solo.count(spec.app_kind))
       solo[spec.app_kind] = solo_makespan(cluster, spec, seed);
 
-  double wall_single = 0.0;
-  double wall_sharded = 0.0;
-  const svc::ServiceResult single10k =
-      run_trace10k(cluster, trace10k, 1, seed, nullptr, &wall_single);
+  double wall10k = 0.0;
   plbhec::obs::CounterRegistry counters10k;
-  const svc::ServiceResult sharded10k = run_trace10k(
-      cluster, trace10k, shards10k, seed, &counters10k, &wall_sharded);
-  const bool ok10k = single10k.ok && sharded10k.ok;
+  const svc::ServiceResult run10k =
+      run_trace10k(cluster, trace10k, seed, &counters10k, &wall10k);
 
   std::vector<double> stretches, waits;
-  stretches.reserve(sharded10k.jobs.size());
-  waits.reserve(sharded10k.jobs.size());
-  for (const svc::JobOutcome& job : sharded10k.jobs) {
+  stretches.reserve(run10k.jobs.size());
+  waits.reserve(run10k.jobs.size());
+  for (const svc::JobOutcome& job : run10k.jobs) {
     const double base = solo.count(job.app_kind) ? solo.at(job.app_kind)
                                                  : -1.0;
     if (base > 0.0) stretches.push_back(job.turnaround() / base);
     waits.push_back(job.queue_wait());
   }
-  const double sharded_speedup =
-      wall_sharded > 0.0 ? wall_single / wall_sharded : 0.0;
 
   char buf[1024];
   std::string json = "{\n  \"benchmark\": \"bench_service\",\n";
@@ -375,7 +363,7 @@ int main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "  \"warm_vs_cold_makespan_ratio\": %.4f,\n"
-      "  \"trace10k_jobs\": %zu,\n  \"trace10k_shards\": %zu,\n"
+      "  \"trace10k_jobs\": %zu,\n"
       "  \"trace10k_mean_gap\": %.17g,\n"
       "  \"trace10k_makespan\": %.17g,\n"
       "  \"trace10k_utilization\": %.4f,\n"
@@ -383,18 +371,13 @@ int main(int argc, char** argv) {
       "  \"stretch_p99\": %.4f,\n"
       "  \"queue_wait_p50\": %.6f,\n  \"queue_wait_p95\": %.6f,\n"
       "  \"queue_wait_p99\": %.6f,\n"
-      "  \"broker_rounds\": %zu,\n  \"broker_migrations\": %zu,\n"
       "  \"trace10k_order_digest\": \"%016llx\",\n"
-      "  \"wall_single_loop_us\": %.0f,\n  \"wall_sharded_us\": %.0f,\n"
-      "  \"sharded_speedup\": %.4f,\n",
-      warm_vs_cold, jobs10k, shards10k, mean_gap10k, sharded10k.makespan,
-      sharded10k.utilization, percentile(stretches, 50.0),
-      percentile(stretches, 95.0), percentile(stretches, 99.0),
-      percentile(waits, 50.0), percentile(waits, 95.0),
-      percentile(waits, 99.0), sharded10k.broker_rounds,
-      sharded10k.broker_migrations,
-      static_cast<unsigned long long>(order_digest(sharded10k)),
-      wall_single * 1e6, wall_sharded * 1e6, sharded_speedup);
+      "  \"wall_single_loop_us\": %.0f,\n",
+      warm_vs_cold, jobs10k, mean_gap10k, run10k.makespan, run10k.utilization,
+      percentile(stretches, 50.0), percentile(stretches, 95.0),
+      percentile(stretches, 99.0), percentile(waits, 50.0),
+      percentile(waits, 95.0), percentile(waits, 99.0),
+      static_cast<unsigned long long>(order_digest(run10k)), wall10k * 1e6);
   json += buf;
 
   json += "  \"completion_order_cold\": \"" +
@@ -443,49 +426,28 @@ int main(int argc, char** argv) {
       std::fputs("smoke FAIL: a service run did not finish\n", stderr);
       return 1;
     }
-    if (!ok10k) {
-      std::fprintf(stderr,
-                   "smoke FAIL: 10k trace did not finish (single \"%s\", "
-                   "sharded \"%s\")\n",
-                   single10k.error.c_str(), sharded10k.error.c_str());
+    if (!run10k.ok) {
+      std::fprintf(stderr, "smoke FAIL: 10k trace did not finish (\"%s\")\n",
+                   run10k.error.c_str());
       return 1;
     }
-    if (sharded10k.completion_order.size() != jobs10k ||
-        single10k.completion_order.size() != jobs10k) {
+    if (run10k.completion_order.size() != jobs10k) {
       std::fputs("smoke FAIL: 10k trace lost jobs\n", stderr);
-      return 1;
-    }
-    if (shards10k > 1 &&
-        (sharded10k.shards_used != shards10k ||
-         sharded10k.broker_rounds == 0)) {
-      std::fputs("smoke FAIL: sharded pass did not exercise the broker\n",
-                 stderr);
-      return 1;
-    }
-    if (counters10k.value("svc.broker.rounds") != sharded10k.broker_rounds ||
-        counters10k.value("svc.broker.migrations") !=
-            sharded10k.broker_migrations) {
-      std::fputs("smoke FAIL: published broker counters disagree with the "
-                 "service result\n",
-                 stderr);
       return 1;
     }
     // Later jobs of a kind repeat earlier jobs' sample sets bit for bit,
     // so the run's selection memo must serve some of their fits.
-    if (counters10k.value("svc.fit_memo.hits") != sharded10k.fit_memo_hits ||
-        counters10k.value("svc.fit_memo.misses") !=
-            sharded10k.fit_memo_misses ||
-        sharded10k.fit_memo_hits == 0 || single10k.fit_memo_hits == 0) {
+    if (counters10k.value("svc.fit_memo.hits") != run10k.fit_memo_hits ||
+        counters10k.value("svc.fit_memo.misses") != run10k.fit_memo_misses ||
+        run10k.fit_memo_hits == 0) {
       std::fprintf(stderr,
                    "smoke FAIL: fit memo counters (published hits %llu "
-                   "misses %llu, result hits %zu misses %zu, single-loop "
-                   "hits %zu)\n",
+                   "misses %llu, result hits %zu misses %zu)\n",
                    static_cast<unsigned long long>(
                        counters10k.value("svc.fit_memo.hits")),
                    static_cast<unsigned long long>(
                        counters10k.value("svc.fit_memo.misses")),
-                   sharded10k.fit_memo_hits, sharded10k.fit_memo_misses,
-                   single10k.fit_memo_hits);
+                   run10k.fit_memo_hits, run10k.fit_memo_misses);
       return 1;
     }
     if (warm.probe_blocks >= cold.probe_blocks) {

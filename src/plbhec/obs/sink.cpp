@@ -27,7 +27,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kMsgReceived: return "msg_received";
     case EventKind::kHeartbeatMissed: return "heartbeat_missed";
     case EventKind::kReconnect: return "reconnect";
-    case EventKind::kShardMigration: return "shard_migration";
     case EventKind::kKernelDispatch: return "kernel_dispatch";
     case EventKind::kDriftDetected: return "drift_detected";
     case EventKind::kReprobeSwap: return "reprobe_swap";
@@ -80,8 +79,6 @@ std::array<const char*, 4> arg_names(EventKind kind) {
       return {"overdue_seconds", nullptr, "missed", "sequence"};
     case EventKind::kReconnect:
       return {"backoff_seconds", nullptr, "attempt", "success"};
-    case EventKind::kShardMigration:
-      return {nullptr, nullptr, "from_shard", "to_shard"};
     case EventKind::kKernelDispatch:
       return {"width", nullptr, "isa", "kernel_hash"};
     case EventKind::kDriftDetected:

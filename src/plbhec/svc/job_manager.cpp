@@ -2,18 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <queue>
 #include <utility>
 
 #include "plbhec/common/contracts.hpp"
 #include "plbhec/common/rng.hpp"
-#include "plbhec/exec/thread_pool.hpp"
 #include "plbhec/obs/events.hpp"
 
 namespace plbhec::svc {
 namespace {
+
+/// Bounded preemption latency, in units of "execution windows on the
+/// cluster's best unit": each epoch's scheduler gets
+/// PlbHecOptions::max_block_seconds = kPreemptWindows * (exec time of one
+/// step_fraction window of this job on the fastest alive unit), unless the
+/// base options already set a cap. This keeps block boundaries — the only
+/// points where leases can be revoked or grown — arriving at the rate the
+/// *cluster* could serve the job, not the rate of whichever slow unit its
+/// current lease happens to hold. Fixes the warm-start regression where a
+/// job admitted on a one-unit lease skipped the probing ramp and issued a
+/// quarter of its grains as a single unpreemptible block (see
+/// EXPERIMENTS.md).
+constexpr double kPreemptWindows = 16.0;
 
 enum class EvKind { kArrival, kCompletion, kFailure };
 
@@ -62,7 +73,6 @@ enum class JobPhase : std::uint8_t {
 
 struct JobRt {
   JobPhase phase = JobPhase::kPending;
-  std::uint32_t shard = 0;  ///< owning shard loop (id % shards)
   std::unique_ptr<rt::Workload> workload;
   sim::WorkloadProfile profile;
   double bytes_per_grain = 0.0;
@@ -74,8 +84,7 @@ struct JobRt {
   std::vector<rt::UnitId> pending;  ///< granted but not yet integrated
   std::map<rt::UnitId, rt::UnitId> global_to_local;  ///< current epoch
   std::vector<rt::UnitId> local_to_global;
-  std::unique_ptr<rt::Scheduler> scheduler;
-  core::PlbHecScheduler* plb = nullptr;  ///< stats view; null once harvested
+  std::unique_ptr<core::PlbHecScheduler> scheduler;
   std::size_t in_flight = 0;
   /// Service-side observation log in the *job* fraction domain (x =
   /// grains / total), per global unit — the warm seed for epoch restarts.
@@ -116,36 +125,6 @@ struct AdmitLater {
   }
 };
 
-/// Everything one shard loop owns. Between broker barriers a shard only
-/// touches: its own ShardRt, the units it owns (owner_shard), the jobs
-/// striped to it, and shared *immutable* state (cluster, specs, store
-/// reads) — so windows run data-race free in parallel.
-struct ShardRt {
-  std::uint32_t index = 0;
-  std::priority_queue<JobId, std::vector<JobId>, AdmitLater> queue;
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
-  std::uint64_t seq = 0;
-  double now = 0.0;
-  std::size_t processed = 0;
-  /// Units this shard may hand out; set by the broker (shards > 1) or
-  /// refreshed to the live count every renegotiation (single shard).
-  std::size_t unit_budget = 0;
-  std::vector<JobId> active;  ///< sorted; phases forming/running/draining
-  std::string error;
-  // Merged into ServiceResult after the run.
-  std::size_t leases_granted = 0;
-  std::size_t leases_revoked = 0;
-  std::size_t scheduler_restarts = 0;
-  double busy_unit_seconds = 0.0;
-  std::vector<JobId> completion_order;
-  /// shards > 1: profile-store writes deferred to the broker barrier so
-  /// windows never mutate shared state.
-  std::vector<ProfileEntry> store_outbox;
-
-  explicit ShardRt(const std::vector<JobSpec>& specs)
-      : queue(AdmitLater{&specs}) {}
-};
-
 /// The whole per-run state; constructed fresh inside run() so the event
 /// loop's working set dies with it.
 struct ServiceSim {
@@ -155,27 +134,30 @@ struct ServiceSim {
   ProfileStore& store;
 
   std::size_t n = 0;
-  std::size_t nshards = 1;
   std::vector<UnitRt> units;
-  std::vector<std::uint32_t> owner_shard;  ///< unit -> shard, broker-mutated
   std::vector<Rng> unit_rng;
   std::vector<JobRt> jobs;
-  std::vector<ShardRt> shards;
-  /// Model selections of this run, shared by all its schedulers and shard
-  /// loops; dies with the run, so every run starts cold.
+  std::priority_queue<JobId, std::vector<JobId>, AdmitLater> queue;
+  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
+  std::uint64_t seq = 0;
+  double now = 0.0;
+  std::size_t processed = 0;
+  std::vector<JobId> active;  ///< sorted; phases forming/running/draining
+  /// Model selections of this run, shared by all its schedulers; dies with
+  /// the run, so every run starts cold.
   fit::SelectionMemo memo;
   ServiceResult res;
 
   ServiceSim(const sim::SimCluster& c, const ServiceOptions& o,
              const std::vector<JobSpec>& s, ProfileStore& st)
-      : cluster(c), options(o), specs(s), store(st) {}
+      : cluster(c), options(o), specs(s), store(st), queue(AdmitLater{&s}) {}
 
   // ---- helpers ---------------------------------------------------------
 
-  [[nodiscard]] std::size_t alive_owned(std::uint32_t shard) const {
+  [[nodiscard]] std::size_t alive_units() const {
     std::size_t count = 0;
     for (rt::UnitId g = 0; g < n; ++g) {
-      if (owner_shard[g] == shard && !units[g].dead) ++count;
+      if (!units[g].dead) ++count;
     }
     return count;
   }
@@ -200,8 +182,8 @@ struct ServiceSim {
     return job.held.size() - away;
   }
 
-  void fail(ShardRt& sh, std::string message) {
-    if (sh.error.empty()) sh.error = std::move(message);
+  void fail(std::string message) {
+    if (res.error.empty()) res.error = std::move(message);
   }
 
   // ---- lease bookkeeping ----------------------------------------------
@@ -209,57 +191,54 @@ struct ServiceSim {
   /// Takes an *idle* unit away from `job` immediately (block boundary
   /// already reached). Notifies the job's scheduler so PLB-HeC re-solves
   /// the distribution over the survivors.
-  void revoke_now(ShardRt& sh, JobId id, rt::UnitId g) {
+  void revoke_now(JobId id, rt::UnitId g) {
     JobRt& job = jobs[id];
     UnitRt& un = units[g];
     PLBHEC_ASSERT(!un.busy && un.leased && un.owner == id);
     const auto it = job.global_to_local.find(g);
     if (it != job.global_to_local.end()) {
-      if (job.scheduler) job.scheduler->on_unit_failed(it->second, 0, sh.now);
+      if (job.scheduler) job.scheduler->on_unit_failed(it->second, 0, now);
       job.global_to_local.erase(it);
     }
     erase_sorted(job.held, g);
     erase_sorted(job.pending, g);
     un.leased = false;
     un.revoke_pending = false;
-    ++sh.leases_revoked;
+    ++res.leases_revoked;
     PLBHEC_OBS_RECORD(options.sink,
-                      {sh.now, obs::EventKind::kLeaseRevoked,
+                      {now, obs::EventKind::kLeaseRevoked,
                        static_cast<std::uint32_t>(g), 0.0, 0.0, id,
                        job.held.size()});
   }
 
-  void grant(ShardRt& sh, JobId id, rt::UnitId g) {
+  void grant(JobId id, rt::UnitId g) {
     JobRt& job = jobs[id];
     UnitRt& un = units[g];
     PLBHEC_ASSERT(!un.leased && !un.busy && !un.dead);
-    PLBHEC_ASSERT(owner_shard[g] == sh.index);
     un.leased = true;
     un.owner = id;
     insert_sorted(job.held, g);
-    ++sh.leases_granted;
+    ++res.leases_granted;
     res.jobs[id].max_units_held =
         std::max(res.jobs[id].max_units_held, job.held.size());
     PLBHEC_OBS_RECORD(options.sink,
-                      {sh.now, obs::EventKind::kLeaseGranted,
+                      {now, obs::EventKind::kLeaseGranted,
                        static_cast<std::uint32_t>(g), 0.0, 0.0, id,
                        job.held.size()});
     if (job.phase == JobPhase::kForming) {
-      if (job.target > 0 && job.held.size() >= job.target) start_epoch(sh, id);
+      if (job.target > 0 && job.held.size() >= job.target) start_epoch(id);
     } else {
       // Running/draining: integrate at the drain boundary.
       insert_sorted(job.pending, g);
       if (job.phase == JobPhase::kRunning) job.phase = JobPhase::kDraining;
-      if (job.in_flight == 0) start_epoch(sh, id);
+      if (job.in_flight == 0) start_epoch(id);
     }
   }
 
   /// Accumulates the scheduler's warm/probing statistics into the job
   /// outcome (once per scheduler instance).
   void harvest(JobId id) {
-    JobRt& job = jobs[id];
-    if (job.plb == nullptr) return;
-    const core::PlbHecStats& s = job.plb->stats();
+    const core::PlbHecStats& s = jobs[id].scheduler->stats();
     JobOutcome& out = res.jobs[id];
     out.probe_blocks += s.probe_blocks;
     out.probe_blocks_saved += s.probe_blocks_saved;
@@ -269,12 +248,10 @@ struct ServiceSim {
     out.drift_detections += s.drift_detections;
     out.reprobe_blocks += s.reprobe_blocks;
     out.reprobe_swaps += s.reprobe_swaps;
-    job.plb = nullptr;
   }
 
   [[nodiscard]] rt::WarmProfile warm_for(const JobRt& job, JobId id,
                                          rt::UnitId g) {
-    if (!options.warm_start) return {};
     // Prefer the job's own observations (same workload instance, same
     // unit) over the cross-job store; they exist from the second epoch on.
     if (job.exec_obs[g].size() >= 4) {
@@ -297,8 +274,8 @@ struct ServiceSim {
   /// best means a job stranded on a slow lease keeps hitting block
   /// boundaries at the rate a good unit could serve it, so a grant or
   /// revocation never waits on one monster block. Liveness comes from the
-  /// unit's static failure schedule (failed_at), never from another
-  /// shard's mutable flags, so parallel shard windows stay deterministic.
+  /// unit's failure schedule (failed_at), so a unit whose failure time has
+  /// passed is skipped even before the loop has observed its death.
   [[nodiscard]] double best_window_seconds(const JobRt& job,
                                            double at) const {
     const auto window_grains = std::max<std::size_t>(
@@ -320,7 +297,7 @@ struct ServiceSim {
 
   /// (Re)starts the job's scheduler over its current lease with the
   /// remaining grains as the work total. Requires no in-flight tasks.
-  void start_epoch(ShardRt& sh, JobId id) {
+  void start_epoch(JobId id) {
     JobRt& job = jobs[id];
     PLBHEC_ASSERT(job.in_flight == 0);
     PLBHEC_ASSERT(!job.held.empty());
@@ -328,7 +305,7 @@ struct ServiceSim {
     if (restart) {
       harvest(id);
       ++res.jobs[id].lease_restarts;
-      ++sh.scheduler_restarts;
+      ++res.scheduler_restarts;
     }
     job.pending.clear();
     job.local_to_global = job.held;  // held is sorted: dense local ids
@@ -361,22 +338,13 @@ struct ServiceSim {
     work.bytes_per_grain = job.bytes_per_grain;
     work.initial_block = std::max<std::size_t>(1, remaining / 512);
 
-    if (options.make_scheduler) {
-      job.scheduler =
-          options.make_scheduler(specs[id], infos, work, std::move(warm));
-      job.plb = dynamic_cast<core::PlbHecScheduler*>(job.scheduler.get());
-    } else {
-      core::PlbHecOptions opt = options.scheduler;
-      opt.warm = std::move(warm);
-      opt.fit_memo = &memo;
-      if (opt.max_block_seconds <= 0.0 && options.preempt_windows > 0.0) {
-        opt.max_block_seconds =
-            options.preempt_windows * best_window_seconds(job, sh.now);
-      }
-      auto plb = std::make_unique<core::PlbHecScheduler>(std::move(opt));
-      job.plb = plb.get();
-      job.scheduler = std::move(plb);
+    core::PlbHecOptions opt = options.scheduler;
+    opt.warm = std::move(warm);
+    opt.fit_memo = &memo;
+    if (opt.max_block_seconds <= 0.0) {
+      opt.max_block_seconds = kPreemptWindows * best_window_seconds(job, now);
     }
+    job.scheduler = std::make_unique<core::PlbHecScheduler>(std::move(opt));
     job.scheduler->set_event_sink(options.sink);
     job.scheduler->start(infos, work);
     job.phase = JobPhase::kRunning;
@@ -384,41 +352,39 @@ struct ServiceSim {
 
   // ---- admission & lease renegotiation --------------------------------
 
-  /// Admits queued jobs up to the shard's concurrency cap, then recomputes
-  /// every active job's unit target and moves leases toward the targets.
-  /// Called whenever the shard's active-job set or unit budget changes.
-  void renegotiate(ShardRt& sh) {
-    if (nshards == 1) sh.unit_budget = alive_owned(0);
-    const std::size_t supply = sh.unit_budget;
+  /// Admits queued jobs up to the concurrency cap, then recomputes every
+  /// active job's unit target and moves leases toward the targets. Called
+  /// whenever the active-job set or the live unit count changes.
+  void renegotiate() {
+    const std::size_t supply = alive_units();
 
     std::size_t cap = options.lease.max_active_jobs == 0
                           ? supply
                           : std::min(options.lease.max_active_jobs, supply);
-    while (!sh.queue.empty() && sh.active.size() < cap) {
-      const JobId id = sh.queue.top();
-      sh.queue.pop();
+    while (!queue.empty() && active.size() < cap) {
+      const JobId id = queue.top();
+      queue.pop();
       jobs[id].phase = JobPhase::kForming;
-      res.jobs[id].admitted = sh.now;
-      PLBHEC_OBS_RECORD(
-          options.sink,
-          {sh.now, obs::EventKind::kJobAdmitted, obs::kNoUnit,
-           sh.now - res.jobs[id].arrival, 0.0, id, sh.queue.size()});
-      insert_sorted_job(sh.active, id);
+      res.jobs[id].admitted = now;
+      PLBHEC_OBS_RECORD(options.sink,
+                        {now, obs::EventKind::kJobAdmitted, obs::kNoUnit,
+                         now - res.jobs[id].arrival, 0.0, id, queue.size()});
+      insert_sorted_job(active, id);
     }
-    if (sh.active.empty()) return;
+    if (active.empty()) return;
 
     // Unit targets: the first `supply` actives in admission order share
-    // the shard's budget under the fairness floor; any beyond (possible
-    // only after unit deaths or a budget cut shrank supply below the
-    // admitted count) wait at target 0 for capacity to free up.
-    std::vector<JobId> entitled = sh.active;
+    // the live units under the fairness floor; any beyond (possible only
+    // after unit deaths shrank supply below the admitted count) wait at
+    // target 0 for capacity to free up.
+    std::vector<JobId> entitled = active;
     if (entitled.size() > supply) {
       std::sort(entitled.begin(), entitled.end(),
                 [&](JobId a, JobId b) { return admission_before(a, b); });
       entitled.resize(supply);
       std::sort(entitled.begin(), entitled.end());
     }
-    for (JobId id : sh.active) jobs[id].target = 0;
+    for (JobId id : active) jobs[id].target = 0;
     if (!entitled.empty() && supply > 0) {
       std::vector<ActiveJobView> views;
       views.reserve(entitled.size());
@@ -431,14 +397,14 @@ struct ServiceSim {
         jobs[entitled[i]].target = targets[i];
       }
     }
-    rebalance(sh);
+    rebalance();
   }
 
-  void rebalance(ShardRt& sh) {
+  void rebalance() {
     // Phase A: shed surplus. Idle units are revoked at once (they are at a
     // block boundary by definition); busy units are marked and handed over
     // when their current task completes.
-    for (JobId id : sh.active) {
+    for (JobId id : active) {
       JobRt& job = jobs[id];
       while (effective_held(job) > job.target) {
         rt::UnitId victim = rt::UnitId(-1);
@@ -471,16 +437,16 @@ struct ServiceSim {
         }
         if (victim == rt::UnitId(-1)) break;  // nothing left to shed
         if (victim_idle) {
-          revoke_now(sh, id, victim);
+          revoke_now(id, victim);
         } else {
           units[victim].revoke_pending = true;
         }
       }
     }
 
-    // Phase B: grant free owned units to jobs under target,
-    // neediest-priority first (admission order).
-    std::vector<JobId> order = sh.active;
+    // Phase B: grant free units to jobs under target, neediest-priority
+    // first (admission order).
+    std::vector<JobId> order = active;
     std::sort(order.begin(), order.end(),
               [&](JobId a, JobId b) { return admission_before(a, b); });
     for (JobId id : order) {
@@ -488,22 +454,20 @@ struct ServiceSim {
       while (effective_held(job) < job.target) {
         rt::UnitId free_unit = rt::UnitId(-1);
         for (rt::UnitId g = 0; g < n; ++g) {
-          if (owner_shard[g] != sh.index) continue;
           if (!units[g].leased && !units[g].dead && !units[g].busy) {
             free_unit = g;
             break;
           }
         }
         if (free_unit == rt::UnitId(-1)) break;  // wait for boundaries
-        grant(sh, id, free_unit);
+        grant(id, free_unit);
       }
     }
   }
 
   // ---- task issue & completion -----------------------------------------
 
-  void retire_unit(ShardRt& sh, JobId id, rt::UnitId g,
-                   std::size_t lost_grains) {
+  void retire_unit(JobId id, rt::UnitId g, std::size_t lost_grains) {
     JobRt& job = jobs[id];
     UnitRt& un = units[g];
     un.dead = true;
@@ -512,51 +476,49 @@ struct ServiceSim {
     const auto it = job.global_to_local.find(g);
     if (it != job.global_to_local.end()) {
       if (job.scheduler) {
-        job.scheduler->on_unit_failed(it->second, lost_grains, sh.now);
+        job.scheduler->on_unit_failed(it->second, lost_grains, now);
       }
       job.global_to_local.erase(it);
     }
     erase_sorted(job.held, g);
     erase_sorted(job.pending, g);
     PLBHEC_OBS_RECORD(options.sink,
-                      {sh.now, obs::EventKind::kUnitFailed,
+                      {now, obs::EventKind::kUnitFailed,
                        static_cast<std::uint32_t>(g), 0.0, 0.0, lost_grains,
                        id});
   }
 
-  void issue(ShardRt& sh, JobId id, rt::UnitId g, rt::UnitId local,
-             std::size_t grains) {
+  void issue(JobId id, rt::UnitId g, rt::UnitId local, std::size_t grains) {
     JobRt& job = jobs[id];
     UnitRt& un = units[g];
     const sim::SimUnit& su = cluster.unit(g);
     const double bytes = static_cast<double>(grains) * job.bytes_per_grain;
     const double transfer_s = options.noise.perturb_transfer(
         su.path.transfer_seconds(bytes), unit_rng[g]);
-    const double speed = su.speed_factor(sh.now);
+    const double speed = su.speed_factor(now);
     PLBHEC_ASSERT(speed > 0.0);
     const double exec_s = options.noise.perturb_exec(
         su.device->execution_seconds(job.profile, grains) / speed,
         unit_rng[g]);
     un.busy = true;
-    un.task = {id, local, grains, sh.now, transfer_s, exec_s};
+    un.task = {id, local, grains, now, transfer_s, exec_s};
     job.issued += grains;
     ++job.in_flight;
     PLBHEC_OBS_RECORD(options.sink,
-                      {sh.now, obs::EventKind::kBlockDispatched,
-                       static_cast<std::uint32_t>(g), 0.0, 0.0, grains,
-                       sh.seq});
-    const double finish = sh.now + transfer_s + exec_s;
+                      {now, obs::EventKind::kBlockDispatched,
+                       static_cast<std::uint32_t>(g), 0.0, 0.0, grains, seq});
+    const double finish = now + transfer_s + exec_s;
     const auto failure = su.failure_time();
-    if (failure && *failure < finish && *failure >= sh.now) {
-      sh.events.push({*failure, sh.seq++, EvKind::kFailure, id, g});
+    if (failure && *failure < finish && *failure >= now) {
+      events.push({*failure, seq++, EvKind::kFailure, id, g});
     } else {
-      sh.events.push({finish, sh.seq++, EvKind::kCompletion, id, g});
+      events.push({finish, seq++, EvKind::kCompletion, id, g});
     }
   }
 
   /// One assignment sweep over a job's leased units; returns the number of
   /// tasks issued.
-  std::size_t assignment_round(ShardRt& sh, JobId id) {
+  std::size_t assignment_round(JobId id) {
     JobRt& job = jobs[id];
     std::size_t assigned = 0;
     for (rt::UnitId local = 0; local < job.local_to_global.size(); ++local) {
@@ -565,22 +527,22 @@ struct ServiceSim {
       if (it == job.global_to_local.end()) continue;  // revoked this epoch
       UnitRt& un = units[g];
       if (un.busy || un.dead) continue;
-      if (cluster.unit(g).failed_at(sh.now)) {  // failed while idle
-        retire_unit(sh, id, g, 0);
+      if (cluster.unit(g).failed_at(now)) {  // failed while idle
+        retire_unit(id, g, 0);
         continue;
       }
       if (job.unassigned() == 0) break;
-      std::size_t grains = job.scheduler->next_block(local, sh.now);
+      std::size_t grains = job.scheduler->next_block(local, now);
       grains = std::min(grains, job.unassigned());
       if (grains == 0) continue;
-      issue(sh, id, g, local, grains);
+      issue(id, g, local, grains);
       ++assigned;
     }
     return assigned;
   }
 
-  void assign_work(ShardRt& sh) {
-    for (JobId id : sh.active) {
+  void assign_work() {
+    for (JobId id : active) {
       JobRt& job = jobs[id];
       if (job.phase != JobPhase::kRunning) continue;
       if (job.held.empty()) {
@@ -588,39 +550,36 @@ struct ServiceSim {
         if (job.in_flight == 0) job.phase = JobPhase::kForming;
         continue;
       }
-      std::size_t assigned = assignment_round(sh, id);
+      std::size_t assigned = assignment_round(id);
       // Engine barrier protocol, per job: all units idle + work remains.
       if (assigned == 0 && job.in_flight == 0 && job.unassigned() > 0) {
-        job.scheduler->on_barrier(sh.now);
+        job.scheduler->on_barrier(now);
         PLBHEC_OBS_RECORD(options.sink,
-                          {sh.now, obs::EventKind::kBarrier, obs::kNoUnit,
+                          {now, obs::EventKind::kBarrier, obs::kNoUnit,
                            0.0, 0.0, id, 0});
-        assigned = assignment_round(sh, id);
+        assigned = assignment_round(id);
         if (assigned == 0 && job.in_flight == 0 &&
             !job.global_to_local.empty()) {
-          fail(sh, "scheduler for job '" + specs[id].name +
-                       "' refused to assign work after a barrier");
+          fail("scheduler for job '" + specs[id].name +
+               "' refused to assign work after a barrier");
         }
       }
     }
   }
 
-  void complete_job(ShardRt& sh, JobId id) {
+  void complete_job(JobId id) {
     JobRt& job = jobs[id];
     harvest(id);
     JobOutcome& out = res.jobs[id];
-    out.finished = sh.now;
+    out.finished = now;
     out.ok = true;
-    sh.completion_order.push_back(id);
+    res.completion_order.push_back(id);
     PLBHEC_OBS_RECORD(options.sink,
-                      {sh.now, obs::EventKind::kJobCompleted, obs::kNoUnit,
-                       sh.now - out.admitted, out.queue_wait(), id,
-                       job.total});
+                      {now, obs::EventKind::kJobCompleted, obs::kNoUnit,
+                       now - out.admitted, out.queue_wait(), id, job.total});
 
     // Merge this job's best-profiled unit of every device kind into the
-    // store — the warm-start capital for future jobs. Single shard writes
-    // (and persists) immediately; sharded runs defer to the broker
-    // barrier, where store writes are serialised in shard order.
+    // store — the warm-start capital for future jobs — and persist it.
     std::map<std::string, rt::UnitId> best;
     for (rt::UnitId g = 0; g < n; ++g) {
       const std::size_t size = job.exec_obs[g].size();
@@ -632,17 +591,11 @@ struct ServiceSim {
       }
     }
     for (const auto& [kind, g] : best) {
-      ProfileEntry entry =
-          make_entry(specs[id].app_kind, kind, job.exec_obs[g],
-                     job.transfer_obs[g], static_cast<double>(job.total),
-                     options.scheduler.fit, &memo);
-      if (nshards == 1) {
-        store.put(std::move(entry));
-      } else {
-        sh.store_outbox.push_back(std::move(entry));
-      }
+      store.put(make_entry(specs[id].app_kind, kind, job.exec_obs[g],
+                           job.transfer_obs[g], static_cast<double>(job.total),
+                           options.scheduler.fit, &memo));
     }
-    if (nshards == 1 && !options.store_path.empty()) {
+    if (!options.store_path.empty()) {
       (void)store.save(options.store_path);
     }
 
@@ -655,11 +608,11 @@ struct ServiceSim {
     job.global_to_local.clear();
     job.scheduler.reset();
     job.phase = JobPhase::kDone;
-    erase_sorted_job(sh.active, id);
-    renegotiate(sh);
+    erase_sorted_job(active, id);
+    renegotiate();
   }
 
-  void handle_completion(ShardRt& sh, const Ev& ev, bool failed) {
+  void handle_completion(const Ev& ev, bool failed) {
     UnitRt& un = units[ev.unit];
     PLBHEC_ASSERT(un.busy);
     un.busy = false;
@@ -669,14 +622,14 @@ struct ServiceSim {
 
     if (failed) {
       job.issued -= task.grains;  // grains return to the pool
-      retire_unit(sh, task.job, ev.unit, task.grains);
-      renegotiate(sh);
+      retire_unit(task.job, ev.unit, task.grains);
+      renegotiate();
     } else {
       job.completed += task.grains;
       JobOutcome& out = res.jobs[task.job];
       ++out.tasks;
       out.busy_seconds += task.transfer_s + task.exec_s;
-      sh.busy_unit_seconds += task.transfer_s + task.exec_s;
+      res.busy_unit_seconds += task.transfer_s + task.exec_s;
       if (task.grains > 0) {
         const double x = static_cast<double>(task.grains) /
                          static_cast<double>(job.total);
@@ -685,239 +638,71 @@ struct ServiceSim {
       }
       if (job.scheduler) {
         job.scheduler->on_complete({task.local, task.grains, task.transfer_s,
-                                    task.exec_s, task.start, sh.now});
+                                    task.exec_s, task.start, now});
       }
       if (job.completed >= job.total) {
-        complete_job(sh, task.job);
-        assign_work(sh);
+        complete_job(task.job);
+        assign_work();
         return;
       }
       if (un.revoke_pending && !un.dead) {
-        revoke_now(sh, task.job, ev.unit);
-        renegotiate(sh);
+        revoke_now(task.job, ev.unit);
+        renegotiate();
       }
     }
     if (job.phase == JobPhase::kDraining && job.in_flight == 0 &&
         !job.held.empty()) {
-      start_epoch(sh, task.job);
+      start_epoch(task.job);
     }
-    assign_work(sh);
+    assign_work();
   }
 
-  // ---- the event loop(s) -----------------------------------------------
+  // ---- the event loop -------------------------------------------------
 
-  /// Fires the shard's next event. Callers guarantee the queue is
-  /// non-empty and the shard has not failed.
-  void step(ShardRt& sh) {
-    const Ev ev = sh.events.top();
-    sh.events.pop();
-    PLBHEC_ASSERT(ev.time >= sh.now);
-    sh.now = ev.time;
-    if (++sh.processed > options.max_events) {
-      fail(sh, "service exceeded the event watchdog");
+  /// Fires the next event. Callers guarantee the queue is non-empty and
+  /// the run has not failed.
+  void step() {
+    const Ev ev = events.top();
+    events.pop();
+    PLBHEC_ASSERT(ev.time >= now);
+    now = ev.time;
+    if (++processed > options.max_events) {
+      fail("service exceeded the event watchdog");
       return;
     }
-    if (sh.now > options.max_sim_time) {
-      fail(sh, "service exceeded the simulated-time watchdog");
+    if (now > options.max_sim_time) {
+      fail("service exceeded the simulated-time watchdog");
       return;
     }
     switch (ev.kind) {
       case EvKind::kArrival:
         jobs[ev.job].phase = JobPhase::kQueued;
-        sh.queue.push(ev.job);
-        renegotiate(sh);
-        assign_work(sh);
+        queue.push(ev.job);
+        renegotiate();
+        assign_work();
         break;
       case EvKind::kCompletion:
-        handle_completion(sh, ev, /*failed=*/false);
+        handle_completion(ev, /*failed=*/false);
         break;
       case EvKind::kFailure:
-        handle_completion(sh, ev, /*failed=*/true);
+        handle_completion(ev, /*failed=*/true);
         break;
-    }
-  }
-
-  [[nodiscard]] double effective_quantum() const {
-    if (options.broker_quantum > 0.0) return options.broker_quantum;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const JobSpec& spec : specs) {
-      lo = std::min(lo, spec.arrival_time);
-      hi = std::max(hi, spec.arrival_time);
-    }
-    const double span = hi - lo;
-    if (specs.size() < 2 || span <= 0.0) return 1e-3;
-    return std::max(1e-6,
-                    4.0 * span / static_cast<double>(specs.size() - 1));
-  }
-
-  /// The sequential cross-shard barrier: merge deferred store writes,
-  /// re-apportion unit entitlements by demand, migrate idle units from
-  /// over-provisioned shards to starving ones, then let every shard
-  /// renegotiate against its new budget at the barrier clock.
-  void broker(double t) {
-    ++res.broker_rounds;
-
-    for (ShardRt& sh : shards) {
-      for (ProfileEntry& entry : sh.store_outbox) store.put(std::move(entry));
-      sh.store_outbox.clear();
-    }
-
-    std::vector<std::size_t> owned(nshards, 0);
-    for (rt::UnitId g = 0; g < n; ++g) {
-      if (!units[g].dead) ++owned[owner_shard[g]];
-    }
-    std::size_t total = 0;
-    for (const std::size_t c : owned) total += c;
-    if (total == 0) return;
-
-    // Demand per shard: jobs it is running plus jobs it has queued.
-    std::vector<std::size_t> weight(nshards, 0);
-    bool any_demand = false;
-    for (const ShardRt& sh : shards) {
-      weight[sh.index] = sh.active.size() + sh.queue.size();
-      any_demand = any_demand || weight[sh.index] > 0;
-    }
-    if (!any_demand) {
-      for (ShardRt& sh : shards) sh.unit_budget = owned[sh.index];
-      return;
-    }
-
-    // Entitlements: every demanding shard gets one unit while supply
-    // lasts (the cross-shard fairness floor), the rest by largest
-    // remainder over demand weights. Deterministic: shard-id order.
-    std::vector<std::size_t> entitle(nshards, 0);
-    std::size_t left = total;
-    double wsum = 0.0;
-    for (std::uint32_t s = 0; s < nshards; ++s) {
-      if (weight[s] == 0 || left == 0) continue;
-      entitle[s] = 1;
-      --left;
-      wsum += static_cast<double>(weight[s]);
-    }
-    if (left > 0 && wsum > 0.0) {
-      std::vector<std::pair<double, std::uint32_t>> rem;
-      std::size_t given = 0;
-      for (std::uint32_t s = 0; s < nshards; ++s) {
-        if (entitle[s] == 0) continue;
-        const double exact = static_cast<double>(left) *
-                             static_cast<double>(weight[s]) / wsum;
-        const auto whole = static_cast<std::size_t>(exact);
-        entitle[s] += whole;
-        given += whole;
-        rem.push_back({exact - static_cast<double>(whole), s});
-      }
-      std::sort(rem.begin(), rem.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return a.second < b.second;
-      });
-      for (std::size_t i = 0; given < left && i < rem.size(); ++i, ++given) {
-        ++entitle[rem[i].second];
-      }
-    }
-
-    // Migrate idle unleased units toward entitlement. Leased surplus is
-    // shed by the donor's own renegotiation (revoke at block boundary)
-    // and crosses over on a later round.
-    std::vector<std::size_t> give(nshards, 0);
-    for (std::uint32_t s = 0; s < nshards; ++s) {
-      if (owned[s] > entitle[s]) give[s] = owned[s] - entitle[s];
-    }
-    for (std::uint32_t r = 0; r < nshards; ++r) {
-      std::size_t need =
-          entitle[r] > owned[r] ? entitle[r] - owned[r] : 0;
-      for (rt::UnitId g = 0; g < n && need > 0; ++g) {
-        const std::uint32_t s = owner_shard[g];
-        if (s == r || give[s] == 0) continue;
-        const UnitRt& un = units[g];
-        if (un.dead || un.leased || un.busy) continue;
-        owner_shard[g] = r;
-        --give[s];
-        --need;
-        ++owned[r];
-        --owned[s];
-        ++res.broker_migrations;
-        PLBHEC_OBS_RECORD(options.sink,
-                          {t, obs::EventKind::kShardMigration,
-                           static_cast<std::uint32_t>(g), 0.0, 0.0, s, r});
-      }
-    }
-
-    for (ShardRt& sh : shards) {
-      sh.unit_budget = entitle[sh.index];
-      sh.now = std::max(sh.now, t);
-      renegotiate(sh);
-      assign_work(sh);
-    }
-  }
-
-  /// shards > 1: conservative windowed parallelism. Every round each
-  /// shard independently fires its events up to window_end (disjoint
-  /// state, no locks), then the broker runs sequentially. The window
-  /// always covers the globally earliest pending event, so each round
-  /// makes progress and the loop terminates exactly when no shard has
-  /// events left.
-  void windowed_loop() {
-    exec::ThreadPool& pool = exec::ThreadPool::global();
-    const double quantum = effective_quantum();
-    double window_end = -std::numeric_limits<double>::infinity();
-    for (;;) {
-      double earliest = std::numeric_limits<double>::infinity();
-      bool failed = false;
-      for (const ShardRt& sh : shards) {
-        if (!sh.error.empty()) failed = true;
-        if (!sh.events.empty()) {
-          earliest = std::min(earliest, sh.events.top().time);
-        }
-      }
-      if (failed || earliest == std::numeric_limits<double>::infinity()) {
-        break;
-      }
-      window_end = std::max(window_end, earliest) + quantum;
-      pool.parallel_for(0, nshards, 1,
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t s = begin; s < end; ++s) {
-                            ShardRt& sh = shards[s];
-                            while (!sh.events.empty() && sh.error.empty() &&
-                                   sh.events.top().time <= window_end) {
-                              step(sh);
-                            }
-                          }
-                        });
-      broker(window_end);
     }
   }
 
   void run() {
     n = cluster.size();
-    nshards = std::max<std::size_t>(
-        1, std::min(options.shards, std::max<std::size_t>(n, 1)));
-    res.shards_used = nshards;
     units.assign(n, {});
-    owner_shard.resize(n);
-    for (rt::UnitId g = 0; g < n; ++g) {
-      owner_shard[g] = static_cast<std::uint32_t>(g % nshards);
-    }
     unit_rng.clear();
     unit_rng.reserve(n);
     Rng master(options.seed);
     for (rt::UnitId g = 0; g < n; ++g) unit_rng.push_back(master.fork(g + 1));
 
-    shards.clear();
-    shards.reserve(nshards);
-    for (std::uint32_t s = 0; s < nshards; ++s) {
-      shards.emplace_back(specs);
-      shards.back().index = s;
-    }
-    for (ShardRt& sh : shards) sh.unit_budget = alive_owned(sh.index);
-
     jobs.resize(specs.size());
     res.jobs.resize(specs.size());
-    res.ok = true;
     for (JobId id = 0; id < specs.size(); ++id) {
       const JobSpec& spec = specs[id];
       JobRt& job = jobs[id];
-      job.shard = static_cast<std::uint32_t>(id % nshards);
       job.workload = spec.make_workload();
       PLBHEC_EXPECTS(job.workload != nullptr);
       job.total = job.workload->total_grains();
@@ -935,7 +720,7 @@ struct ServiceSim {
       out.total_grains = job.total;
     }
 
-    // Arrival events, sequenced by (time, submission order) per shard.
+    // Arrival events, sequenced by (time, submission order).
     std::vector<JobId> by_arrival(specs.size());
     for (JobId id = 0; id < specs.size(); ++id) by_arrival[id] = id;
     std::stable_sort(by_arrival.begin(), by_arrival.end(),
@@ -943,24 +728,14 @@ struct ServiceSim {
                        return specs[a].arrival_time < specs[b].arrival_time;
                      });
     for (JobId id : by_arrival) {
-      ShardRt& sh = shards[jobs[id].shard];
-      sh.events.push(
-          {specs[id].arrival_time, sh.seq++, EvKind::kArrival, id, 0});
+      events.push({specs[id].arrival_time, seq++, EvKind::kArrival, id, 0});
     }
 
-    if (nshards == 1) {
-      ShardRt& sh = shards[0];
-      while (!sh.events.empty() && sh.error.empty()) step(sh);
-    } else {
-      windowed_loop();
-    }
+    while (!events.empty() && res.error.empty()) step();
     finalize();
   }
 
   void finalize() {
-    for (const ShardRt& sh : shards) {
-      if (!sh.error.empty() && res.error.empty()) res.error = sh.error;
-    }
     if (res.error.empty()) {
       for (JobId id = 0; id < jobs.size(); ++id) {
         if (jobs[id].phase != JobPhase::kDone) {
@@ -971,42 +746,6 @@ struct ServiceSim {
       }
     }
     res.ok = res.error.empty();
-
-    bool any_completed = false;
-    for (ShardRt& sh : shards) {
-      res.leases_granted += sh.leases_granted;
-      res.leases_revoked += sh.leases_revoked;
-      res.scheduler_restarts += sh.scheduler_restarts;
-      res.busy_unit_seconds += sh.busy_unit_seconds;
-      any_completed = any_completed || !sh.completion_order.empty();
-    }
-    if (nshards == 1) {
-      res.completion_order = std::move(shards[0].completion_order);
-    } else {
-      for (const ShardRt& sh : shards) {
-        res.completion_order.insert(res.completion_order.end(),
-                                    sh.completion_order.begin(),
-                                    sh.completion_order.end());
-      }
-      std::sort(res.completion_order.begin(), res.completion_order.end(),
-                [&](JobId a, JobId b) {
-                  if (res.jobs[a].finished != res.jobs[b].finished) {
-                    return res.jobs[a].finished < res.jobs[b].finished;
-                  }
-                  return a < b;
-                });
-      // Late store writes (outboxes already drain at every broker round;
-      // this catches a final window that ended the run) + one persist.
-      for (ShardRt& sh : shards) {
-        for (ProfileEntry& entry : sh.store_outbox) {
-          store.put(std::move(entry));
-        }
-        sh.store_outbox.clear();
-      }
-      if (!options.store_path.empty() && any_completed) {
-        (void)store.save(options.store_path);
-      }
-    }
 
     for (const JobOutcome& out : res.jobs) {
       res.makespan = std::max(res.makespan, out.finished);
@@ -1032,6 +771,7 @@ struct ServiceSim {
 
 JobManager::JobManager(const sim::SimCluster& cluster, ServiceOptions options)
     : cluster_(cluster), options_(std::move(options)) {
+  PLBHEC_EXPECTS(options_.shards == 1);
   if (!options_.store_path.empty()) {
     store_status_ = ProfileStore::load(options_.store_path, store_);
     if (store_status_ != StoreLoadStatus::kOk &&
@@ -1073,9 +813,6 @@ ServiceResult JobManager::run() {
     reg->add("svc.adapt.reprobe_swaps", sim.res.reprobe_swaps);
     reg->add("svc.probe_blocks", sim.res.probe_blocks);
     reg->add("svc.probe_blocks_saved", sim.res.probe_blocks_saved);
-    reg->add("svc.shards", sim.res.shards_used);
-    reg->add("svc.broker.rounds", sim.res.broker_rounds);
-    reg->add("svc.broker.migrations", sim.res.broker_migrations);
     reg->add("svc.fit_memo.hits", sim.res.fit_memo_hits);
     reg->add("svc.fit_memo.misses", sim.res.fit_memo_misses);
   }

@@ -2,8 +2,8 @@
 /// \file job_manager.hpp
 /// Multi-tenant scheduling service on top of the single-job runtime: jobs
 /// arrive over virtual time into an admission queue (FIFO within priority
-/// class), each admitted job runs its own scheduler instance (PLB-HeC by
-/// default) against a *leased* subset of the cluster's processing units,
+/// class), each admitted job runs its own PLB-HeC scheduler instance
+/// against a *leased* subset of the cluster's processing units,
 /// and the lease policy (lease.hpp) rebalances unit targets whenever the
 /// active-job set changes.
 ///
@@ -24,20 +24,6 @@
 /// replaces the exponential probing schedule with a single validation
 /// block when the stored fit still holds (see PlbHecOptions::warm). On
 /// completion the job's samples are merged back and persisted.
-///
-/// Sharded coordinator (ServiceOptions::shards > 1): the service splits
-/// into N shard loops, each owning a disjoint subset of the cluster's
-/// units and a stripe of the jobs (id % shards). Shards run their
-/// discrete-event windows in parallel — admission, leasing and scheduling
-/// are shard-local and lock-free — and synchronise at a sequential
-/// *broker* barrier that (a) merges completed jobs' profiles into the
-/// shared store, (b) re-apportions unit entitlements across shards by
-/// demand (active + queued jobs, largest-remainder), and (c) migrates
-/// idle unleased units from over-provisioned shards to starving ones.
-/// Leased surplus is shed by the owning shard with the ordinary
-/// revoke-at-block-boundary protocol and crosses shards one broker round
-/// later, so the fairness floor and boundary semantics hold cluster-wide.
-/// shards == 1 (the default) is the classic single event loop.
 
 #include <cstdint>
 #include <functional>
@@ -48,7 +34,6 @@
 #include "plbhec/core/plb_hec.hpp"
 #include "plbhec/obs/counters.hpp"
 #include "plbhec/obs/sink.hpp"
-#include "plbhec/rt/scheduler.hpp"
 #include "plbhec/rt/workload.hpp"
 #include "plbhec/sim/cluster.hpp"
 #include "plbhec/svc/lease.hpp"
@@ -114,9 +99,6 @@ struct ServiceResult {
   std::size_t reprobe_blocks = 0;
   std::size_t reprobe_swaps = 0;
   StoreLoadStatus store_status = StoreLoadStatus::kMissing;
-  std::size_t shards_used = 1;        ///< effective shard-loop count
-  std::size_t broker_rounds = 0;      ///< barrier synchronisations (shards > 1)
-  std::size_t broker_migrations = 0;  ///< unit ownership moves between shards
   std::size_t fit_memo_hits = 0;    ///< model selections served by the memo
   std::size_t fit_memo_misses = 0;  ///< model selections solved afresh
 };
@@ -133,38 +115,10 @@ struct ServiceOptions {
   /// On-disk ProfileStore path; empty = in-memory only (still merges
   /// profiles across jobs within this service instance).
   std::string store_path;
-  /// Master switch for warm-starting schedulers from stored profiles.
-  bool warm_start = true;
-  /// Bounded preemption latency, in units of "execution windows on the
-  /// cluster's best unit": each epoch's scheduler gets
-  /// PlbHecOptions::max_block_seconds = preempt_windows * (exec time of
-  /// one step_fraction window of this job on the fastest alive unit).
-  /// This keeps block boundaries — the only points where leases can be
-  /// revoked or grown — arriving at the rate the *cluster* could serve
-  /// the job, not the rate of whichever slow unit its current lease
-  /// happens to hold. Fixes the warm-start regression where a job
-  /// admitted on a one-unit lease skipped the probing ramp and issued a
-  /// quarter of its grains as a single unpreemptible block (see
-  /// EXPERIMENTS.md). 0 disables the cap (pre-fix behavior).
-  double preempt_windows = 16.0;
-  /// Coordinator shard loops (clamped to the unit count). 1 = the classic
-  /// single event loop; N > 1 partitions units and jobs across N loops
-  /// that run in parallel between broker barriers (see the file comment).
-  /// Note: lease.max_active_jobs then caps *per shard*, not globally.
+  /// Must be 1 (checked by JobManager's constructor): the service is one
+  /// discrete-event loop. The sharded coordinator was removed; the field
+  /// stays only because existing callers still set it.
   std::size_t shards = 1;
-  /// Virtual-seconds length of a parallel window between broker barriers
-  /// (shards > 1 only). Each window always extends past the earliest
-  /// pending event, so any positive value makes progress; smaller values
-  /// tighten cross-shard lease latency, larger ones amortise the barrier.
-  /// 0 = auto: ~4x the trace's mean inter-arrival gap.
-  double broker_quantum = 0.0;
-  /// Optional scheduler factory for non-PLB-HeC tenants; null = PLB-HeC
-  /// with the options above. Warm statistics are harvested only from
-  /// schedulers that are PlbHecScheduler instances.
-  std::function<std::unique_ptr<rt::Scheduler>(
-      const JobSpec& spec, const std::vector<rt::UnitInfo>& units,
-      const rt::WorkInfo& work, std::vector<rt::WarmProfile> warm)>
-      make_scheduler;
   obs::EventSink* sink = nullptr;             ///< not owned; may be null
   obs::CounterRegistry* counters = nullptr;   ///< not owned; may be null
 };

@@ -2,8 +2,8 @@
 // robustness (truncation / magic / checksum / version skew reject cleanly
 // and fall back to cold start), bit-identical warm-start round-trips,
 // lease-target fairness properties, JobManager admission ordering,
-// replay determinism, and the stretch bound under a bursty mixed-priority
-// trace.
+// replay determinism, zero lost grains when a leased unit dies mid-block,
+// and the stretch bound under a bursty mixed-priority trace.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 
 #include "plbhec/apps/matmul.hpp"
 #include "plbhec/apps/synthetic.hpp"
+#include "plbhec/obs/sink.hpp"
 #include "plbhec/rt/profile_db.hpp"
 #include "plbhec/sim/machine.hpp"
 #include "plbhec/svc/job_manager.hpp"
@@ -328,6 +329,49 @@ TEST(JobManager, ReplayIsDeterministic) {
   for (std::size_t i = 0; i < first.jobs.size(); ++i) {
     EXPECT_EQ(first.jobs[i].finished, second.jobs[i].finished);
     EXPECT_EQ(first.jobs[i].tasks, second.jobs[i].tasks);
+  }
+}
+
+TEST(JobManager, UnitDeathMidLeaseLosesZeroGrains) {
+  sim::SimCluster cluster(sim::scenario(2));
+  // Unit 3 dies mid-block while both jobs hold leases. The death changes
+  // no lease target, so no scheduler restart re-pools the lost grains:
+  // they must flow back through the failure path itself.
+  const double death = 0.03;
+  cluster.fail_unit(3, death);
+  obs::EventSink sink;
+  ServiceOptions options = quiet_options();
+  options.sink = &sink;
+  JobManager manager(cluster, options);
+  manager.submit(synthetic_job("early", "syn-a", PriorityClass::kNormal, 0.0,
+                               20'000));
+  manager.submit(synthetic_job("later", "syn-b", PriorityClass::kNormal,
+                               0.005, 6'000));
+  const ServiceResult result = manager.run();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.scheduler_restarts, 0u);
+  // Zero lost grains: a job only reports ok when every grain executed,
+  // so completion of both jobs across the failure is the conservation
+  // statement.
+  for (const JobOutcome& job : result.jobs) {
+    EXPECT_TRUE(job.ok) << job.name;
+    EXPECT_GT(job.tasks, 0u) << job.name;
+    EXPECT_LT(job.admitted, death) << job.name;
+    EXPECT_GT(job.finished, death) << job.name;
+  }
+  ASSERT_EQ(result.completion_order.size(), 2u);
+  EXPECT_NE(result.completion_order[0], result.completion_order[1]);
+  if (obs::kCompiledIn) {
+    // The failure landed mid-block: it returned grains, which the owner
+    // then re-executed (both jobs finished).
+    std::size_t failures = 0;
+    for (const obs::Event& e : sink.drain()) {
+      if (e.kind != obs::EventKind::kUnitFailed) continue;
+      ++failures;
+      EXPECT_EQ(e.unit, 3u);
+      EXPECT_GT(e.i, 0u) << "unit died idle; no grains were in flight";
+    }
+    EXPECT_EQ(failures, 1u);
   }
 }
 

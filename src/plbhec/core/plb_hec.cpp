@@ -32,9 +32,6 @@ void publish_counters(obs::CounterRegistry& registry,
   registry.set("plbhec.fit.qr_solves", stats.qr_solves);
   registry.set("plbhec.fit.qr_fallbacks", stats.qr_fallbacks);
   registry.set("plbhec.overlap.active_units", stats.overlap_units);
-  registry.set("plbhec.adapt.drift_detections", stats.drift_detections);
-  registry.set("plbhec.adapt.reprobe_blocks", stats.reprobe_blocks);
-  registry.set("plbhec.adapt.reprobe_swaps", stats.reprobe_swaps);
   registry.set("plbhec.warmstart.stale_skips", stats.warm_stale_skips);
 }
 
@@ -85,17 +82,9 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   prev_probe_time_.assign(units.size(), 0.0);
   modeling_issued_ = 0;
   overlap_ewma_.assign(units.size(), 0.0);
-  monitor_.configure(options_.adapt, units.size());
-  reprobing_.assign(units.size(), 0);
-  censored_.assign(units.size(), 0);
-  reprobe_round_.assign(units.size(), 0);
-  inflight_issue_.assign(units.size(), -1.0);
-  inflight_predicted_.assign(units.size(), 0.0);
-  exec_override_.assign(units.size(), fit::CurveModel{});
   warm_state_.assign(units.size(), WarmState::kCold);
   warm_age_.assign(units.size(), 0);
   stats_ = {};
-  stats_.reprobe_blocks_per_unit.assign(units.size(), 0);
   for (rt::UnitId u = 0; u < units.size() && u < options_.warm.size(); ++u) {
     const rt::WarmProfile& warm = options_.warm[u];
     if (!warm.usable() || warm.stored_r2 < options_.fit.r2_threshold)
@@ -221,31 +210,6 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
       work_.total_grains - std::min(issued_grains_, work_.total_grains);
   if (remaining == 0) return 0;
 
-  // Targeted re-probe: a tripped unit runs a short geometric ladder
-  // (initial, 2x, 4x, ...) exactly like a modeling-phase probe schedule,
-  // while every other unit keeps executing from the current selection. A
-  // pending rebalance still drains the ladder (the barrier needs all
-  // units parked), and resumes it afterwards.
-  if (reprobing_[unit] != 0 && !pending_rebalance_) {
-    const double multiplier =
-        std::min(std::pow(2.0, static_cast<double>(reprobe_round_[unit])),
-                 static_cast<double>(options_.max_probe_multiplier));
-    double size = multiplier * static_cast<double>(initial_block_);
-    if (options_.max_block_seconds > 0.0 && per_grain_[unit] > 0.0)
-      size = std::min(size, options_.max_block_seconds / per_grain_[unit]);
-    size = std::min(size, static_cast<double>(remaining));
-    const std::size_t block = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(size)));
-    issued_grains_ += block;
-    issue_gen_[unit] = generation_;
-    ++stats_.reprobe_blocks;
-    ++stats_.reprobe_blocks_per_unit[unit];
-    PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kProbeIssued,
-                              static_cast<std::uint32_t>(unit), 0.0, 0.0,
-                              block, reprobe_round_[unit] + 1});
-    return block;
-  }
-
   const double window = options_.step_fraction *
                         static_cast<double>(work_.total_grains);
   const double effective = std::min(window, static_cast<double>(remaining));
@@ -265,29 +229,12 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
   if (pending_rebalance_) {
     // Paper §III-D: the unit that detected the threshold receives one more
     // task so it does not idle while the others drain toward the sync.
-    if (bonus_unit_ && *bonus_unit_ == unit) {
-      bonus_unit_.reset();
-      issued_grains_ += block;
-      issue_gen_[unit] = generation_;
-      track_inflight(unit, now, block);
-      return block;
-    }
-    return 0;
+    if (!bonus_unit_ || *bonus_unit_ != unit) return 0;
+    bonus_unit_.reset();
   }
   issued_grains_ += block;
   issue_gen_[unit] = generation_;
-  track_inflight(unit, now, block);
   return block;
-}
-
-void PlbHecScheduler::track_inflight(rt::UnitId unit, double now,
-                                     std::size_t block) {
-  if (!monitor_.enabled() || options_.adapt.overdue_factor <= 1.0) return;
-  inflight_issue_[unit] = now;
-  inflight_predicted_[unit] =
-      unit < models_.size() && models_[unit].valid() && block > 0
-          ? models_[unit].total_time(profiles_.grains_to_fraction(block))
-          : 0.0;
 }
 
 void PlbHecScheduler::maybe_finish_modeling() {
@@ -394,34 +341,6 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   }
 
   // Execution phase.
-  inflight_issue_[obs.unit] = -1.0;
-  if (monitor_.enabled() && !pending_rebalance_) check_overdue(obs.finish_time);
-
-  // A tripped unit's completions are ladder observations: they feed the
-  // recent window (the refreshed fit is selected from exactly these) and
-  // advance the ladder, but take no part in refinement or threshold
-  // bookkeeping — those reason about the current selection's blocks.
-  if (reprobing_[obs.unit] != 0) {
-    // The overdue block behind a censored trip: profiles_.record above
-    // already stored it as the first post-change sample (the unit's
-    // history was dropped at the trip); it seeds the window but does not
-    // advance the ladder — the ladder's multi-size schedule starts now.
-    if (censored_[obs.unit] != 0) {
-      censored_[obs.unit] = 0;
-      if (obs.grains > 0)
-        monitor_.ingest(obs.unit, profiles_.grains_to_fraction(obs.grains),
-                        obs.exec_seconds);
-      return;
-    }
-    if (obs.grains > 0)
-      monitor_.ingest(obs.unit, profiles_.grains_to_fraction(obs.grains),
-                      obs.exec_seconds);
-    if (++reprobe_round_[obs.unit] >= options_.adapt.reprobe_rounds &&
-        !pending_rebalance_)
-      finish_reprobe(obs.unit, obs.finish_time);
-    return;
-  }
-
   if (issue_gen_[obs.unit] == generation_) {
     last_duration_[obs.unit] = duration;
     ++gen_samples_[obs.unit];
@@ -472,22 +391,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   const double x = profiles_.grains_to_fraction(obs.grains);
   const double predicted = models_[obs.unit].total_time(x);
   if (predicted <= 0.0) return;
-  const double residual = (duration - predicted) / predicted;
-  const double deviation = std::fabs(residual);
-
-  // Drift adaptation: the recent window tracks the unit's execution curve
-  // continuously, and the standardized residual feeds its CUSUM. A trip
-  // takes precedence over threshold rebalancing — a persistent shift means
-  // the model itself is wrong, and the targeted ladder (one unit re-probed,
-  // no drain) is strictly cheaper than repeated global rebalances over a
-  // model that cannot converge while pre-change samples dominate its fit.
-  if (monitor_.enabled()) {
-    if (obs.grains > 0) monitor_.ingest(obs.unit, x, obs.exec_seconds);
-    if (monitor_.observe(obs.unit, residual)) {
-      begin_reprobe(obs, residual);
-      return;
-    }
-  }
+  const double deviation = std::fabs((duration - predicted) / predicted);
 
   if (deviation > options_.rebalance_threshold) {
     if (++threshold_strikes_[obs.unit] >= options_.rebalance_strikes) {
@@ -551,92 +455,6 @@ bool PlbHecScheduler::resolve_warm_validation(const rt::TaskObservation& obs,
   return false;
 }
 
-void PlbHecScheduler::begin_reprobe(const rt::TaskObservation& obs,
-                                    double residual) {
-  const rt::UnitId u = obs.unit;
-  ++stats_.drift_detections;
-  const adapt::ResidualCusum& det = monitor_.detector(u);
-  PLBHEC_OBS_RECORD(sink_,
-                    {obs.finish_time, obs::EventKind::kDriftDetected,
-                     static_cast<std::uint32_t>(u),
-                     std::max(det.positive(), det.negative()), residual,
-                     det.observed(), monitor_.trips(u)});
-  // The pre-change history would dominate any refit and keep the model
-  // wrong for the rest of the run: drop it, keeping the trip observation
-  // as the first post-change sample, and restart the recent window so the
-  // swap fits post-change behavior only.
-  profiles_.clear_unit(u);
-  profiles_.record(obs);
-  monitor_.reset_unit(u);
-  if (obs.grains > 0)
-    monitor_.ingest(u, profiles_.grains_to_fraction(obs.grains),
-                    obs.exec_seconds);
-  reprobing_[u] = 1;
-  reprobe_round_[u] = 0;
-  threshold_strikes_[u] = 0;
-}
-
-void PlbHecScheduler::check_overdue(double now) {
-  const double factor = options_.adapt.overdue_factor;
-  if (factor <= 1.0) return;
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (failed_[u] || reprobing_[u] != 0) continue;
-    if (inflight_issue_[u] < 0.0 || inflight_predicted_[u] <= 0.0) continue;
-    const double elapsed = now - inflight_issue_[u];
-    // The model underestimates tiny end-of-run blocks (fixed overheads
-    // dominate far from the fitted range), so the bar is the larger of
-    // the prediction and the unit's last completed block under the
-    // current selection: a genuinely hung block dwarfs both.
-    const double bar = std::max(inflight_predicted_[u], last_duration_[u]);
-    if (elapsed <= factor * bar) continue;
-    begin_reprobe_censored(u, now, elapsed / bar);
-  }
-}
-
-void PlbHecScheduler::begin_reprobe_censored(rt::UnitId unit, double now,
-                                             double overdue_ratio) {
-  ++stats_.drift_detections;
-  monitor_.force_trip(unit);
-  // The elapsed/predicted ratio is a *lower bound* on the block's true
-  // residual — the block has not finished. Recorded in the cusum-stat and
-  // residual slots so exports stay uniform; observations = 0 marks the
-  // censored path.
-  PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kDriftDetected,
-                            static_cast<std::uint32_t>(unit), overdue_ratio,
-                            overdue_ratio - 1.0, 0, monitor_.trips(unit)});
-  // Same history reset as a completion-triggered trip, except there is no
-  // observation yet: the overdue block itself becomes the first post-change
-  // sample when it finally lands (see the censored_ branch in on_complete).
-  profiles_.clear_unit(unit);
-  monitor_.reset_unit(unit);
-  reprobing_[unit] = 1;
-  censored_[unit] = 1;
-  reprobe_round_[unit] = 0;
-  threshold_strikes_[unit] = 0;
-  inflight_issue_[unit] = -1.0;
-}
-
-void PlbHecScheduler::finish_reprobe(rt::UnitId unit, double now) {
-  reprobing_[unit] = 0;
-  reprobe_round_[unit] = 0;
-  ++stats_.reprobe_swaps;
-  // The refreshed execution curve is selected from the recent window's
-  // moments alone (no raw-sample refit); a window too degenerate to yield
-  // an acceptable model falls back to the post-change profile samples in
-  // the selection below.
-  const fit::FitResult recent =
-      adapt::fit_recent(monitor_.window(unit), options_.fit);
-  if (recent.model.valid() && recent.acceptable)
-    exec_override_[unit] = recent.model;
-  PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kReprobeSwap,
-                            static_cast<std::uint32_t>(unit), recent.r2, 0.0,
-                            monitor_.window(unit).count(),
-                            stats_.reprobe_blocks_per_unit[unit]});
-  // Detector baseline restarts against the refreshed model's residuals.
-  monitor_.reset_unit(unit);
-  fit_and_select();
-}
-
 void PlbHecScheduler::sync_fit_stats() {
   const rt::FitStats fs = profiles_.fit_stats();
   stats_.fits_computed = fs.fits_computed;
@@ -648,25 +466,8 @@ void PlbHecScheduler::sync_fit_stats() {
 
 void PlbHecScheduler::fit_and_select() {
   ++generation_;
-  const std::vector<fit::PerfModel> prev_models = models_;
   models_ = profiles_.fit_all(options_.fit);
   sync_fit_stats();
-
-  // Drift hooks. A unit mid-ladder owns only a handful of post-change
-  // samples, not enough for a trustworthy model — a refit triggered
-  // elsewhere (refinement, rebalance, failure) keeps scheduling it from
-  // its superseded model until the swap boundary. At the swap, the
-  // recent-window selection replaces the execution curve for this one
-  // generation; later refits draw on the same post-change samples.
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (reprobing_[u] != 0 && u < prev_models.size() &&
-        prev_models[u].valid()) {
-      models_[u] = prev_models[u];
-    } else if (exec_override_[u].valid()) {
-      models_[u].exec = exec_override_[u];
-      exec_override_[u] = fit::CurveModel{};
-    }
-  }
 
   // Attach the cost regime each unit actually runs: above the activation
   // the fitted model blends toward the steady-state max(F, G) a pipelined
@@ -803,8 +604,6 @@ void PlbHecScheduler::on_unit_failed(rt::UnitId unit,
   // The unit's in-flight block returned to the pool: credit it back so the
   // remaining-work estimate (and the shrinking tail windows) stay correct.
   issued_grains_ -= std::min(lost_grains, issued_grains_);
-  inflight_issue_[unit] = -1.0;
-  censored_[unit] = 0;
   if (alive_count() == 0) return;
   if (phase_ == Phase::kExecuting) {
     // Redistribute the failed unit's share across the survivors (§VI).

@@ -24,7 +24,6 @@
 #include <optional>
 #include <vector>
 
-#include "plbhec/adapt/drift.hpp"
 #include "plbhec/rt/profile_db.hpp"
 #include "plbhec/rt/scheduler.hpp"
 #include "plbhec/solver/block_selection.hpp"
@@ -116,13 +115,6 @@ struct PlbHecOptions {
   /// unchanged.
   double overlap_smoothing = 0.4;
   double overlap_activation = 0.2;
-  /// Online drift adaptation (src/plbhec/adapt/): per-unit residual CUSUM
-  /// change-point detection over the execution phase, targeted re-probe of
-  /// a tripped unit via a short geometric block ladder while the rest of
-  /// the cluster keeps running, and a refreshed fit from the recent-window
-  /// moments swapped in at the next block boundary. Disabled by default:
-  /// the fit-once scheduler is unchanged unless adapt.enabled is set.
-  adapt::DriftOptions adapt;
   /// Bounded preemption latency: upper bound, in engine seconds, on a
   /// single execution-phase block's *predicted* duration (latest observed
   /// per-grain time of the unit). The multi-tenant service revokes and
@@ -162,13 +154,7 @@ struct PlbHecStats {
                                        ///< hits (min_probe_rounds - 1 each)
   std::size_t overlap_units = 0;   ///< units on the max(F, G) regime at the
                                    ///< most recent selection
-  std::size_t drift_detections = 0;  ///< residual CUSUM trips
-  std::size_t reprobe_blocks = 0;    ///< targeted re-probe ladder blocks
-  std::size_t reprobe_swaps = 0;     ///< refreshed fits swapped in
   std::size_t warm_stale_skips = 0;  ///< stored profiles too old to seed
-  /// Ladder blocks per unit; re-probe is targeted, so drift on one unit
-  /// must leave every other unit's counter at zero (gated in bench_adapt).
-  std::vector<std::size_t> reprobe_blocks_per_unit;
 };
 
 /// Publishes the scheduler statistics into a counter registry under the
@@ -220,13 +206,6 @@ class PlbHecScheduler final : public rt::Scheduler {
   [[nodiscard]] const std::vector<double>& overlap_estimates() const {
     return overlap_ewma_;
   }
-  /// The drift monitor (windows, detectors, trip counts) — bench/test
-  /// introspection.
-  [[nodiscard]] const adapt::DriftMonitor& drift() const { return monitor_; }
-  /// True while `unit` runs its targeted re-probe ladder.
-  [[nodiscard]] bool reprobing(rt::UnitId unit) const {
-    return unit < reprobing_.size() && reprobing_[unit] != 0;
-  }
 
  private:
   enum class Phase { kModeling, kExecuting };
@@ -240,25 +219,6 @@ class PlbHecScheduler final : public rt::Scheduler {
   /// the cold path with the observation re-recorded as its first sample.
   bool resolve_warm_validation(const rt::TaskObservation& obs,
                                double predicted);
-  /// Detector trip: drop the unit's mixed-regime history, keep the trip
-  /// observation as the first post-change sample, and flip the unit into
-  /// the targeted re-probe ladder. The rest of the cluster keeps running.
-  void begin_reprobe(const rt::TaskObservation& obs, double residual);
-  /// Censored trip (adapt.overdue_factor): a peer's in-flight block is
-  /// already far past its predicted duration, so the unit flips into
-  /// re-probe *before* the block completes; the completion is then the
-  /// first post-change sample, not a ladder round.
-  void begin_reprobe_censored(rt::UnitId unit, double now,
-                              double overdue_ratio);
-  /// Scans every busy peer's in-flight block age against the overdue
-  /// bound. Runs on each exec-phase completion (the only clock ticks an
-  /// event-driven scheduler gets).
-  void check_overdue(double now);
-  /// Records an exec-phase block issue for the overdue scan.
-  void track_inflight(rt::UnitId unit, double now, std::size_t block);
-  /// Ladder complete: refit from the recent window's moments and swap the
-  /// refreshed model in at this block boundary (one re-solve, no drain).
-  void finish_reprobe(rt::UnitId unit, double now);
   void maybe_finish_modeling();
   void fit_and_select();
   void sync_fit_stats();
@@ -284,18 +244,6 @@ class PlbHecScheduler final : public rt::Scheduler {
                                              ///< profile, in store writes
   std::vector<double> overlap_ewma_;         ///< smoothed observed overlap
   std::vector<bool> failed_;
-
-  adapt::DriftMonitor monitor_;              ///< per-unit windows + CUSUMs
-  std::vector<std::uint8_t> reprobing_;      ///< unit is on the ladder
-  std::vector<std::uint8_t> censored_;       ///< tripped with the block
-                                             ///< still in flight
-  std::vector<std::size_t> reprobe_round_;   ///< ladder blocks completed
-  std::vector<double> inflight_issue_;       ///< issue time of the in-flight
-                                             ///< exec block (-1 = idle)
-  std::vector<double> inflight_predicted_;   ///< its predicted duration
-  std::vector<fit::CurveModel> exec_override_;  ///< refreshed recent-window
-                                                ///< fit, consumed by the
-                                                ///< next selection
 
   std::vector<fit::PerfModel> models_;
   std::vector<double> fractions_;

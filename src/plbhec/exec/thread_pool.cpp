@@ -44,8 +44,10 @@ void StealDeque::push(TaskNode* task) {
   Array* a = array_.load(std::memory_order_relaxed);
   if (b - t > static_cast<std::int64_t>(a->capacity) - 1) a = grow(a, t, b);
   a->put(b, task);
-  std::atomic_thread_fence(std::memory_order_release);
-  bottom_.store(b + 1, std::memory_order_relaxed);
+  // Publishes the slot to thieves, whose acquire load of bottom_ pairs with
+  // this store. A release store rather than a standalone release fence: the
+  // same instructions on x86-64, and ThreadSanitizer models it.
+  bottom_.store(b + 1, std::memory_order_release);
 }
 
 TaskNode* StealDeque::pop() {

@@ -102,8 +102,8 @@ std::optional<FitResult> fit_terms_qr(const SampleSet& samples,
 /// moments. O(k^3) per fit, independent of sample count. Returns nullopt
 /// when the equilibrated sub-Gram is too ill-conditioned to certify ~1e-9
 /// agreement with QR (the e^x family near x -> 1); the SampleSet caller
-/// then falls back to the design-matrix path. `n` is the (possibly
-/// fractional, for discounted windows) sample mass behind the moments.
+/// then falls back to the design-matrix path. `n` is the sample count
+/// behind the moments.
 std::optional<FitResult> fit_terms_gram(const MomentSet& m, double n,
                                         std::span<const BasisFn> terms,
                                         bool relative_weighting) {
@@ -174,14 +174,6 @@ std::optional<FitResult> fit_terms(const SampleSet& samples,
   }
   if (counters) ++counters->qr_solves;
   return fit_terms_qr(samples, terms, relative_weighting);
-}
-
-std::optional<FitResult> fit_terms(const MomentSet& moments, double effective_n,
-                                   std::span<const BasisFn> terms,
-                                   bool relative_weighting) {
-  if (terms.empty() || effective_n < static_cast<double>(terms.size()))
-    return std::nullopt;
-  return fit_terms_gram(moments, effective_n, terms, relative_weighting);
 }
 
 FitResult select_model_from(const SampleSet& samples,

@@ -98,17 +98,6 @@ struct FitResult {
     bool relative_weighting = false, FitEngine engine = FitEngine::kAuto,
     FitCounters* counters = nullptr);
 
-/// Moments-only subset fit: solves the k x k sub-Gram system from an
-/// externally maintained MomentSet (e.g. a discounted drift window) with
-/// `effective_n` standing in for the sample count in the RSS/R^2/BIC
-/// recovery — for a forgetting-factor window that is the discounted mass
-/// ~1/(1-lambda), not the raw add() count. Gram-only: there are no raw
-/// rows to rebuild a design matrix from, so conditioning failures return
-/// nullopt instead of falling back to QR.
-[[nodiscard]] std::optional<FitResult> fit_terms(
-    const MomentSet& moments, double effective_n,
-    std::span<const BasisFn> terms, bool relative_weighting = false);
-
 /// Enumerates subsets of `candidate_terms` (size 1..max_terms, plus the
 /// intercept when enabled), fits each, and returns the best by BIC.
 /// `acceptable` reflects the paper's R^2 >= threshold rule.
@@ -126,9 +115,8 @@ struct FitResult {
 
 /// The candidate filter's physics check: time curves must stay non-negative
 /// and must not decrease substantially anywhere on (x_lo, 1] (small local
-/// dips < 5% of the curve's range are tolerated as fit noise). Exposed for
-/// selection paths outside this file (the drift subsystem's moments-only
-/// recent-window selection applies the same rule).
+/// dips < 5% of the curve's range are tolerated as fit noise). Exposed so
+/// reference selections in tests apply the same rule.
 [[nodiscard]] bool physically_plausible(const CurveModel& model, double x_lo);
 
 }  // namespace plbhec::fit

@@ -39,12 +39,10 @@ enum class EventKind : std::uint8_t {
   kHeartbeatMissed,     ///< net: heartbeat ack overdue on a worker link
   kReconnect,           ///< net: reconnect attempt to a worker daemon
   kKernelDispatch,      ///< kdisp: a (kernel, width) slot resolved to an ISA
-  kDriftDetected,       ///< adapt: residual CUSUM tripped on a unit
-  kReprobeSwap,         ///< adapt: refreshed fit swapped in after re-probe
 };
 
 inline constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(EventKind::kReprobeSwap) + 1;
+    static_cast<std::size_t>(EventKind::kKernelDispatch) + 1;
 
 /// One recorded decision. `time` is virtual (simulated) seconds, matching
 /// the busy-segment trace timeline. The meaning of the payload fields

@@ -28,8 +28,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kHeartbeatMissed: return "heartbeat_missed";
     case EventKind::kReconnect: return "reconnect";
     case EventKind::kKernelDispatch: return "kernel_dispatch";
-    case EventKind::kDriftDetected: return "drift_detected";
-    case EventKind::kReprobeSwap: return "reprobe_swap";
   }
   return "unknown";
 }
@@ -81,10 +79,6 @@ std::array<const char*, 4> arg_names(EventKind kind) {
       return {"backoff_seconds", nullptr, "attempt", "success"};
     case EventKind::kKernelDispatch:
       return {"width", nullptr, "isa", "kernel_hash"};
-    case EventKind::kDriftDetected:
-      return {"cusum_stat", "residual", "observations", "trip"};
-    case EventKind::kReprobeSwap:
-      return {"r2", nullptr, "window_samples", "ladder_blocks"};
   }
   return {nullptr, nullptr, nullptr, nullptr};
 }

@@ -245,9 +245,6 @@ struct ServiceSim {
     out.warm_hits += s.warm_hits;
     out.warm_misses += s.warm_misses;
     out.warm_stale_skips += s.warm_stale_skips;
-    out.drift_detections += s.drift_detections;
-    out.reprobe_blocks += s.reprobe_blocks;
-    out.reprobe_swaps += s.reprobe_swaps;
   }
 
   [[nodiscard]] rt::WarmProfile warm_for(const JobRt& job, JobId id,
@@ -754,9 +751,6 @@ struct ServiceSim {
       res.warm_hits += out.warm_hits;
       res.warm_misses += out.warm_misses;
       res.warm_stale_skips += out.warm_stale_skips;
-      res.drift_detections += out.drift_detections;
-      res.reprobe_blocks += out.reprobe_blocks;
-      res.reprobe_swaps += out.reprobe_swaps;
     }
     res.fit_memo_hits = memo.hits();
     res.fit_memo_misses = memo.misses();
@@ -808,9 +802,6 @@ ServiceResult JobManager::run() {
     reg->add("svc.warmstart.hits", sim.res.warm_hits);
     reg->add("svc.warmstart.misses", sim.res.warm_misses);
     reg->add("svc.warmstart.stale_skips", sim.res.warm_stale_skips);
-    reg->add("svc.adapt.drift_detections", sim.res.drift_detections);
-    reg->add("svc.adapt.reprobe_blocks", sim.res.reprobe_blocks);
-    reg->add("svc.adapt.reprobe_swaps", sim.res.reprobe_swaps);
     reg->add("svc.probe_blocks", sim.res.probe_blocks);
     reg->add("svc.probe_blocks_saved", sim.res.probe_blocks_saved);
     reg->add("svc.fit_memo.hits", sim.res.fit_memo_hits);

@@ -68,9 +68,6 @@ struct JobOutcome {
   std::size_t warm_hits = 0;
   std::size_t warm_misses = 0;
   std::size_t warm_stale_skips = 0;   ///< warm seeds dropped for staleness
-  std::size_t drift_detections = 0;   ///< CUSUM trips across its schedulers
-  std::size_t reprobe_blocks = 0;     ///< targeted re-probe ladder blocks
-  std::size_t reprobe_swaps = 0;      ///< refreshed fits swapped in
   std::size_t lease_restarts = 0;  ///< drain-and-regrow scheduler restarts
   std::size_t max_units_held = 0;
   bool ok = false;
@@ -95,9 +92,6 @@ struct ServiceResult {
   std::size_t warm_hits = 0;
   std::size_t warm_misses = 0;
   std::size_t warm_stale_skips = 0;
-  std::size_t drift_detections = 0;
-  std::size_t reprobe_blocks = 0;
-  std::size_t reprobe_swaps = 0;
   StoreLoadStatus store_status = StoreLoadStatus::kMissing;
   std::size_t fit_memo_hits = 0;    ///< model selections served by the memo
   std::size_t fit_memo_misses = 0;  ///< model selections solved afresh

@@ -249,6 +249,23 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
       });
   });
   EXPECT_EQ(total.load(), 8u * 64u);
+
+  // Submitted tasks as the outer shape: workers enqueue the nested chunks
+  // onto their own deques while peers steal them. Many rounds, so a
+  // publication race between push() and steal() has room to show (under
+  // TSan, as a report).
+  constexpr std::size_t kRounds = 200;
+  total.store(0);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (int task = 0; task < 8; ++task)
+      pool.submit([&] {
+        pool.parallel_for(0, 64, 4, [&](std::size_t ilo, std::size_t ihi) {
+          total.fetch_add(ihi - ilo, std::memory_order_relaxed);
+        });
+      });
+    pool.wait_idle();
+  }
+  EXPECT_EQ(total.load(), kRounds * 8u * 64u);
 }
 
 TEST(ThreadPool, OneWorkerPoolCompletes) {

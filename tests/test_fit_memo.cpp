@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "plbhec/adapt/window.hpp"
 #include "plbhec/common/rng.hpp"
 #include "plbhec/exec/thread_pool.hpp"
 #include "plbhec/fit/least_squares.hpp"
@@ -167,32 +166,6 @@ TEST(SelectionMemo, RestoredMomentsNeverAliasReplayedOnes) {
     }
   }
   EXPECT_GT(differing, 0u) << "the sweep never produced differing moments";
-}
-
-TEST(SelectionMemo, WindowedSetsMatchFreshSelections) {
-  // An exact-window set materializes downdated moments; a replay of the
-  // retained samples accumulates them afresh.
-  for (const std::size_t capacity : {4, 8, 12, 24}) {
-    adapt::WindowedSampleSet window(adapt::WindowConfig{1.0, capacity});
-    Rng rng(capacity);
-    for (std::size_t i = 0; i < 3 * capacity; ++i) {
-      const double x = rng.uniform(0.01, 0.9);
-      window.add(x, (0.03 + x) * rng.lognormal_factor(0.05));
-    }
-    const SampleSet materialized = window.to_sample_set();
-    SampleSet replayed;
-    for (const Sample& s : materialized.items()) replayed.add(s.x, s.time);
-    for (const FitEngine engine :
-         {FitEngine::kAuto, FitEngine::kQr, FitEngine::kGram}) {
-      SelectionMemo memo;
-      SelectionOptions options;
-      options.engine = engine;
-      const std::string what = label(capacity, options);
-      expect_memo_matches_fresh(memo, replayed, paper_terms(), options, what);
-      expect_memo_matches_fresh(memo, materialized, paper_terms(), options,
-                                what + " materialized");
-    }
-  }
 }
 
 TEST(SelectionMemo, DistinctOptionsAndTermListsNeverShareAnEntry) {

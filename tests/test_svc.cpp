@@ -1,6 +1,7 @@
 // Tests for the multi-tenant service layer: ProfileStore format
 // robustness (truncation / magic / checksum / version skew reject cleanly
 // and fall back to cold start), bit-identical warm-start round-trips,
+// staleness stamps,
 // lease-target fairness properties, JobManager admission ordering,
 // replay determinism, zero lost grains when a leased unit dies mid-block,
 // and the stretch bound under a bursty mixed-priority trace.
@@ -39,10 +40,14 @@ fit::SampleSet curve_samples(double slope, double intercept,
   return set;
 }
 
+ProfileEntry entry_for(const std::string& app) {
+  return make_entry(app, "dev-cpu", curve_samples(2.0, 0.1, 8),
+                    curve_samples(0.5, 0.01, 8), 1000.0, {});
+}
+
 ProfileStore one_entry_store() {
   ProfileStore store;
-  store.put(make_entry("app-a", "dev-cpu", curve_samples(2.0, 0.1, 8),
-                       curve_samples(0.5, 0.01, 8), 1000.0, {}));
+  store.put(entry_for("app-a"));
   return store;
 }
 
@@ -206,6 +211,53 @@ TEST(ProfileStore, TrimsToSampleCapWithConsistentMoments) {
   // The most recent samples are the ones kept.
   EXPECT_EQ(entry.exec.back().x, big.items().back().x);
   EXPECT_EQ(entry.exec.front().x, big.items()[40].x);
+}
+
+TEST(ProfileStoreStamps, PutAdvancesSequenceAndStampsEntries) {
+  ProfileStore store;
+  store.put(entry_for("app-a"));
+  store.put(entry_for("app-b"));
+  store.put(entry_for("app-a"));  // refresh: re-stamped, update count kept
+  EXPECT_EQ(store.sequence(), 3u);
+
+  const ProfileEntry* a = store.find("app-a", "dev-cpu");
+  const ProfileEntry* b = store.find("app-b", "dev-cpu");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_GT(a->stamp, b->stamp);  // app-a was refreshed last
+  EXPECT_EQ(a->updates, 2u);
+
+  // warm_profile exposes the age = sequence - stamp the scheduler gates on.
+  EXPECT_EQ(store.warm_profile("app-a", "dev-cpu").age,
+            store.sequence() - a->stamp);
+  EXPECT_EQ(store.warm_profile("app-b", "dev-cpu").age,
+            store.sequence() - b->stamp);
+  EXPECT_GT(store.warm_profile("app-b", "dev-cpu").age, 0u);
+}
+
+TEST(ProfileStoreStamps, StampsAndSequenceSurviveEncodeDecode) {
+  ProfileStore store;
+  store.put(entry_for("app-a"));
+  store.put(entry_for("app-b"));
+  const std::vector<std::uint8_t> bytes = store.encode();
+  ProfileStore loaded;
+  ASSERT_EQ(ProfileStore::decode(bytes, loaded), StoreLoadStatus::kOk);
+  EXPECT_EQ(loaded.sequence(), store.sequence());
+  ASSERT_EQ(loaded.size(), store.size());
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    EXPECT_EQ(loaded.entries()[i].stamp, store.entries()[i].stamp);
+    EXPECT_EQ(loaded.entries()[i].updates, store.entries()[i].updates);
+  }
+}
+
+TEST(ProfileStoreStamps, VersionSkewStillRejectsCleanly) {
+  std::vector<std::uint8_t> bytes = one_entry_store().encode();
+  ASSERT_GT(bytes.size(), 12u);
+  bytes[8] += 1;  // version u32 lives at offset 8, little-endian
+  ProfileStore loaded;
+  EXPECT_EQ(ProfileStore::decode(bytes, loaded),
+            StoreLoadStatus::kVersionSkew);
+  EXPECT_TRUE(loaded.empty());
 }
 
 // ---- lease policy ---------------------------------------------------------

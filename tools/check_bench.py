@@ -73,18 +73,6 @@ machine-dependent and unchecked beyond structure; the gemm row's
 ``max_rel_diff`` (the documented FMA exception) rides the usual
 residual ceiling.
 
-``bench_adapt`` JSONs (the online drift-adaptation subsystem) pass
-through :class:`AdaptGate`, also absolute: on the virtual-time
-``step-throttle`` cell the adaptive scheduler must finish in at most
-0.90 of the fit-once scheduler's makespan (``adaptive_vs_fitonce``),
-the first detection must land within 0.30 of the undrifted makespan
-after the onset (``detection_latency_fraction``), the re-probe ladder
-must stay confined to the drifted unit (``reprobe_confined``), at
-least one trip must fire, and every cell must finish every grain.
-The ramp and transient cells report the same counters but only ride
-the baseline-relative compare; the ThreadEngine section's wall-clock
-``thread_*_us`` fields are machine-dependent and unchecked.
-
 Identity keys (``n``, ``samples``, ``lanes``, ``units``, ...) and the
 overall JSON structure must match exactly, so a silently shrunk sweep
 also fails the gate. For bench_service the arrival trace itself is
@@ -258,75 +246,6 @@ class KdispGate:
                  f"absolute floor {self.SPEEDUP_FLOOR} on a SIMD host")
 
 
-class AdaptGate:
-    """Absolute gate for bench_adapt (drift-adaptation) JSONs.
-
-    The drift subsystem's claims hold on every machine (virtual-time sim
-    cells; the ThreadEngine section is wall-clock and unchecked):
-
-    * on the ``step-throttle`` cell the adaptive scheduler's makespan is
-      at most ``RATIO_CEIL`` of the fit-once scheduler's on the same
-      trace -- adapting must actually pay;
-    * the step cell's first detection lands within ``LATENCY_CEIL`` of
-      the undrifted makespan after the drift onset (the censored
-      overdue-block path keeps this bounded even when the throttled
-      block itself runs for most of the run);
-    * the step cell's re-probe is confined to the drifted unit: the
-      ladder-block counter summed over every undrifted unit is zero
-      (``reprobe_confined``). Other cells report their counters but are
-      not confinement-gated -- the ramp legitimately re-probes a second
-      unit whose model error shifts when the workhorse collapses;
-    * the step cell tripped at least once, every cell's runs finished,
-      and no cell lost a grain.
-    """
-
-    RATIO_CEIL = 0.90
-    LATENCY_CEIL = 0.30
-
-    def check(self, doc, errors):
-        cells = doc.get("cells")
-        missing = [k for k in ("cells", "all_ok", "lost_grains",
-                               "drift_detections_total") if k not in doc]
-        if missing or not isinstance(cells, list):
-            fail(errors, "bench_adapt",
-                 f"summary keys missing or malformed: {missing or 'cells'}")
-            return
-        if not doc["all_ok"]:
-            fail(errors, "bench_adapt", "a run did not finish (all_ok false)")
-        if doc["lost_grains"] != 0:
-            fail(errors, "bench_adapt",
-                 f"{doc['lost_grains']} grain(s) lost across the cells")
-        step = None
-        for cell in cells:
-            name = cell.get("cell", "?")
-            if name == "step-throttle":
-                step = cell
-            if not cell.get("run_ok", False):
-                fail(errors, f"bench_adapt.{name}", "run_ok is false")
-            if cell.get("lost_grains", 0) != 0:
-                fail(errors, f"bench_adapt.{name}",
-                     f"{cell['lost_grains']} grain(s) lost")
-        if step is None:
-            fail(errors, "bench_adapt", "step-throttle cell missing")
-            return
-        if step.get("drift_detections", 0) < 1:
-            fail(errors, "bench_adapt.step-throttle",
-                 "no drift detection on the step throttle")
-        if step.get("adaptive_vs_fitonce", 1e9) > self.RATIO_CEIL:
-            fail(errors, "bench_adapt.step-throttle",
-                 f"adaptive/fitonce makespan ratio "
-                 f"{step.get('adaptive_vs_fitonce'):.3f} above absolute "
-                 f"ceiling {self.RATIO_CEIL}")
-        frac = step.get("detection_latency_fraction", -1.0)
-        if frac < 0.0 or frac > self.LATENCY_CEIL:
-            fail(errors, "bench_adapt.step-throttle",
-                 f"detection latency fraction {frac:.3f} outside "
-                 f"(0, {self.LATENCY_CEIL}]")
-        if not step.get("reprobe_confined", False):
-            fail(errors, "bench_adapt.step-throttle",
-                 "re-probe ladder touched an undrifted unit")
-
-
 # Machine-dependent values: type-checked only.
 IGNORED_SUFFIXES = ("_us", "gflops")
 IGNORED_KEYS = {"hardware_concurrency", "reps", "genes", "events"}
@@ -443,8 +362,6 @@ def check_pair(base, fresh, label):
         WinRateGate().check(fresh, errors)
     if fresh.get("benchmark") == "bench_kdisp":
         KdispGate().check(fresh, errors)
-    if fresh.get("benchmark") == "bench_adapt":
-        AdaptGate().check(fresh, errors)
     return errors
 
 
@@ -697,89 +614,9 @@ def self_test():
          kdisp_variant(variants=9), True),
     ]
 
-    # bench_adapt cases exercise the absolute AdaptGate: the step cell's
-    # makespan-ratio and detection-latency ceilings, its confinement claim
-    # and trip floor, plus the no-lost-grain / all-runs-finished facts.
-    # Only the step cell is confinement-gated (the ramp's second re-probe
-    # is legitimate), and wall-clock ``thread_*_us`` fields are free.
-    def adapt_cell(cell, ratio, confined=True, detections=1, latency=0.2,
-                   other=0, lost=0, run_ok=True):
-        return {"cell": cell, "drift_onset": 0.158,
-                "makespan_fitonce": 2.5, "makespan_rebalance": 2.4,
-                "makespan_adaptive": 2.5 * ratio,
-                "adaptive_vs_fitonce": ratio, "adaptive_vs_rebalance": ratio,
-                "drift_detections": detections, "reprobe_swaps": detections,
-                "reprobe_blocks_drifted": 2 * detections,
-                "reprobe_blocks_other": other,
-                "reprobe_confined": confined,
-                "detection_latency_s": latency * 0.527,
-                "detection_latency_fraction": latency,
-                "rebalances_stock": 0,
-                "lost_grains": lost, "run_ok": run_ok}
-
-    adapt_base = {
-        "benchmark": "bench_adapt", "units": 4, "seed": 42,
-        "total_grains": 60000, "drift_unit": 1,
-        "drift_onset_fraction": 0.30, "step_factor": 0.02,
-        "makespan_nominal": 0.527,
-        "cells": [adapt_cell("step-throttle", 0.64),
-                  adapt_cell("ramp-throttle", 0.91, confined=False,
-                             detections=4, other=2),
-                  adapt_cell("transient-cotenant", 1.02)],
-        "drift_detections_total": 6, "lost_grains": 0,
-        "thread_grains": 24000,
-        "thread_wall_nominal_us": 4000000,
-        "thread_wall_fitonce_us": 7000000,
-        "thread_wall_adaptive_us": 8500000,
-        "thread_drift_detections": 0, "thread_reprobe_swaps": 0,
-        "thread_reprobe_confined": True, "thread_lost_grains": 0,
-        "thread_ok": True, "all_ok": True,
-    }
-
-    def adapt_variant(step=None, ramp=None, **overrides):
-        fresh = dict(adapt_base)
-        cells = list(adapt_base["cells"])
-        if step is not None:
-            cells[0] = step
-        if ramp is not None:
-            cells[1] = ramp
-        fresh["cells"] = cells
-        fresh.update(overrides)
-        return fresh
-
-    adapt_cases = [
-        ("identical adapt passes", adapt_variant(), False),
-        ("machine-dependent thread walls may differ",
-         adapt_variant(thread_wall_adaptive_us=12345678,
-                       thread_wall_fitonce_us=2222222), False),
-        ("step ratio above 0.90 ceiling fails",
-         adapt_variant(step=adapt_cell("step-throttle", 0.95)), True),
-        ("detection latency above 0.30 fails",
-         adapt_variant(step=adapt_cell("step-throttle", 0.64, latency=0.5)),
-         True),
-        ("unconfined step re-probe fails",
-         adapt_variant(step=adapt_cell("step-throttle", 0.64, confined=False,
-                                       other=3)), True),
-        ("undetected step drift fails",
-         adapt_variant(step=adapt_cell("step-throttle", 0.64, detections=0)),
-         True),
-        ("unconfined ramp cell alone passes",
-         adapt_variant(ramp=adapt_cell("ramp-throttle", 0.88, confined=False,
-                                       detections=5, other=4)), False),
-        ("lost grain in any cell fails",
-         adapt_variant(step=adapt_cell("step-throttle", 0.64, lost=1)), True),
-        ("unfinished run fails",
-         adapt_variant(step=adapt_cell("step-throttle", 0.64, run_ok=False)),
-         True),
-        ("all_ok false fails", adapt_variant(all_ok=False), True),
-        ("missing step cell fails",
-         adapt_variant(cells=adapt_base["cells"][1:]), True),
-    ]
-
     failures = 0
     for table, base_doc in ((cases, baseline), (matrix_cases, matrix_base),
-                            (kdisp_cases, kdisp_base),
-                            (adapt_cases, adapt_base)):
+                            (kdisp_cases, kdisp_base)):
         for label, fresh, must_flag in table:
             flagged = bool(check_pair(base_doc, fresh, "self-test"))
             status = "ok" if flagged == must_flag else "FAIL"
@@ -796,8 +633,7 @@ def self_test():
         failures += 1
     print(f"  {status}: missing bench JSON exits 1 (rc={rc})")
 
-    total = (len(cases) + len(matrix_cases) + len(kdisp_cases) +
-             len(adapt_cases) + 1)
+    total = len(cases) + len(matrix_cases) + len(kdisp_cases) + 1
     if failures:
         print(f"self-test FAILED ({failures} case(s))")
         return 1

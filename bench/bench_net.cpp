@@ -1,28 +1,34 @@
 // Network transport benchmark: measures the framed TCP path between a
 // coordinator-side RemoteUnit and an in-process WorkerDaemon on loopback.
+// A RemoteUnit has one data path, a window of chunk frames per engine
+// block; at depth 1 the window holds one chunk, which is the synchronous
+// AssignBlock/BlockResult round-trip. "Sync" below means depth 1.
 //
 // Four experiments, one JSON:
-//  1. transfer curve -- a RemoteUnit executes matmul blocks of swept sizes
-//     and the per-size minimum wire time (round-trip wall minus daemon
-//     kernel time, best of several interleaved rounds) is fitted to the
-//     paper's G_p(x) = a1*x + a2. The fit R^2 on real socket timings is
-//     the headline number: the transport must be regular enough that the
-//     scheduler's transfer model means something.
+//  1. transfer curve -- a depth-1 RemoteUnit executes matmul blocks of
+//     swept sizes and the per-size minimum wire time (round-trip wall
+//     minus daemon kernel time, best of several interleaved rounds) is
+//     fitted to the paper's G_p(x) = a1*x + a2. The fit R^2 on real socket
+//     timings is the headline number: the transport must be regular enough
+//     that the scheduler's transfer model means something.
 //  2. distributed run -- a ThreadEngine drives one local unit plus two
 //     daemons through PLB-HeC; the distributed product must be
 //     bit-identical to a single-threaded reference and every grain
-//     accounted for. Run twice: synchronous protocol and pipelined
-//     (depth 4), which must agree bit for bit.
-//  3. worker kill -- a daemon is frozen mid-run (connections open, nothing
-//     answered); the heartbeat timeout must demote it and the engine
-//     requeue its in-flight range, finishing with zero lost grains. Run
-//     twice as well: the pipelined variant freezes the daemon with a
-//     whole chunk window in flight.
+//     accounted for. Run twice: depth 1 and depth 4, which must agree bit
+//     for bit.
+//  3. worker kill -- the first block completion on the coordinator after
+//     the doomed daemon has served a block freezes that daemon
+//     (connections open, nothing answered) before it applies, so the
+//     freeze always lands with grains outstanding. The unit's block in
+//     flight, or its next one, stalls; the heartbeat timeout must demote
+//     it and the engine requeue the range, finishing with zero lost
+//     grains. Run at depth 1 and at depth 4, where the stalled block can
+//     be a whole chunk window.
 //  4. pipeline comparison -- three daemons execute the same fine-grained
-//     synthetic stream under both protocols: the sync leg pays one
+//     synthetic stream at depth 1 and depth 8: the depth-1 leg pays one
 //     round-trip of coordinator<->daemon thread handoffs per 8-grain
-//     frame, the pipelined leg streams identical frames through a
-//     depth-8 window so the turnaround idle is amortized. The headline
+//     frame, the depth-8 leg streams identical frames through its window
+//     so the turnaround idle is amortized. The headline
 //     `pipelined_vs_sync_makespan_ratio` (best of 3 interleaved rounds)
 //     is gated at an absolute 0.75 ceiling.
 //
@@ -31,8 +37,9 @@
 // gates transfer_r2, the makespan ratio, plus the structural identities
 // (bit_identical, lost_grains, demoted, and their pipeline_* twins).
 // `--smoke` exits nonzero when R^2 < 0.7, either distributed result
-// diverges, either kill run loses grains, or the pipelined leg fails to
-// beat sync by 25% -- the acceptance gate CI runs on every push.
+// diverges, either kill run loses grains or does not freeze mid-run, or
+// the depth-8 leg fails to beat depth 1 by 25% -- the acceptance gate CI
+// runs on every push.
 
 #include <algorithm>
 #include <atomic>
@@ -196,11 +203,70 @@ DistributedRun run_distributed(std::size_t n, std::size_t depth) {
   return out;
 }
 
-/// Experiment 3: freeze a daemon once it has served a block; the run must
-/// still complete with every grain executed exactly once.
+/// Forwards a SyntheticWorkload, locally and over the wire (daemons rebuild
+/// it from the same remote spec), and freezes `doomed` in the first block
+/// completion on the coordinator — local execution or applied remote
+/// result — that follows the doomed daemon's first served block. That
+/// completion has not been applied yet, so the freeze always lands with
+/// grains outstanding, however fast the host runs the work.
+class FreezeOnFirstServed final : public rt::Workload {
+ public:
+  FreezeOnFirstServed(apps::SyntheticWorkload& inner,
+                      net::WorkerDaemon& doomed)
+      : inner_(inner), doomed_(doomed) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::size_t total_grains() const override {
+    return inner_.total_grains();
+  }
+  [[nodiscard]] double bytes_per_grain() const override {
+    return inner_.bytes_per_grain();
+  }
+  [[nodiscard]] plbhec::sim::WorkloadProfile profile() const override {
+    return inner_.profile();
+  }
+  [[nodiscard]] bool supports_real_execution() const override { return true; }
+  [[nodiscard]] std::string remote_spec() const override {
+    return inner_.remote_spec();
+  }
+  [[nodiscard]] std::size_t result_bytes(std::size_t begin,
+                                         std::size_t end) const override {
+    return inner_.result_bytes(begin, end);
+  }
+
+  void execute_cpu(std::size_t begin, std::size_t end) override {
+    freeze_once();
+    inner_.execute_cpu(begin, end);
+  }
+  void read_results(std::size_t begin, std::size_t end,
+                    const std::uint8_t* in) override {
+    freeze_once();
+    inner_.read_results(begin, end, in);
+  }
+
+  /// The freeze happened with grains still outstanding.
+  [[nodiscard]] bool froze_mid_run() const { return froze_mid_run_.load(); }
+
+ private:
+  void freeze_once() {
+    if (doomed_.blocks_served() == 0 || fired_.exchange(true)) return;
+    doomed_.freeze();
+    froze_mid_run_ = inner_.executed_grains() < inner_.total_grains();
+  }
+
+  apps::SyntheticWorkload& inner_;
+  net::WorkerDaemon& doomed_;
+  std::atomic<bool> fired_{false};
+  std::atomic<bool> froze_mid_run_{false};
+};
+
+/// Experiment 3: freeze a daemon once it has served a block, while grains
+/// are still outstanding; the run must still complete with every grain
+/// executed exactly once.
 struct KillRun {
   bool ok = false;
   bool demoted = false;
+  bool froze_mid_run = false;  ///< the freeze landed with grains outstanding
   std::size_t total_grains = 0;
   std::uint64_t executed_grains = 0;
   std::uint64_t lost_grains = 0;
@@ -234,17 +300,15 @@ KillRun run_worker_kill(std::size_t grains, std::size_t depth) {
       apps::SyntheticWorkload::Config{grains, 1e6, 64.0, 16.0, 2.0, 0.97,
                                       0.5, 0.5, 6'000});
 
-  std::thread killer([&] {
-    for (int i = 0; i < 2000 && doomed.blocks_served() == 0; ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    doomed.freeze();
-  });
+  // The doomed unit's block in flight at the freeze, or its next one,
+  // stalls against the frozen daemon; only the heartbeat demotion ends it.
+  FreezeOnFirstServed killer(workload, doomed);
   plbhec::core::PlbHecScheduler plb;
-  const rt::RunResult r = engine.run(workload, plb);
-  killer.join();
+  const rt::RunResult r = engine.run(killer, plb);
   doomed.unfreeze();
 
   out.ok = r.ok;
+  out.froze_mid_run = killer.froze_mid_run();
   out.demoted = doomed_ptr->demoted();
   out.total_grains = grains;
   out.executed_grains = workload.executed_grains();
@@ -257,12 +321,12 @@ KillRun run_worker_kill(std::size_t grains, std::size_t depth) {
   return out;
 }
 
-/// Experiment 4: sync vs pipelined makespan over the same frame stream.
+/// Experiment 4: depth-1 vs depth-8 makespan over the same frame stream.
 ///
 /// Three daemons each execute one third of a fine-grained synthetic
 /// workload. Both legs ship identical 8-grain result frames; they differ
-/// only in windowing. The sync leg (depth 1) issues one 8-grain block per
-/// round-trip, so every frame pays the full coordinator -> daemon reader
+/// only in window depth. The sync leg (depth 1) issues one 8-grain block
+/// per round-trip, so every frame pays the full coordinator -> daemon reader
 /// -> executor -> sender -> coordinator turnaround — on a loaded host
 /// that is mostly scheduler-wakeup idle, not CPU. The pipelined leg
 /// issues 128-grain blocks that chunk into the same 8-grain frames
@@ -339,20 +403,11 @@ double run_pipeline_leg(std::size_t depth, PipelineComparison& out) {
                           .count();
 
   if (depth > 1) {
-    std::uint64_t chunks = 0;
-    std::uint64_t batched = 0;
-    double saved = 0.0;
-    double floor = 0.0;
-    for (auto& unit : units) {
-      chunks += unit->wire_stats().chunks_pipelined;
-      batched += unit->wire_stats().batched_results;
-      saved += unit->wire_stats().overlap_saved_seconds;
-      floor += unit->wire_stats().overlap_floor_seconds;
-    }
-    out.chunks_pipelined = chunks;
-    out.batched_results = batched;
-    out.overlap_fraction =
-        floor > 0.0 ? std::min(1.0, std::max(0.0, saved / floor)) : 0.0;
+    net::RemoteUnit::WireStats total;
+    for (auto& unit : units) total.merge(unit->wire_stats());
+    out.chunks_pipelined = total.chunks_pipelined;
+    out.batched_results = total.batched_results;
+    out.overlap_fraction = total.overlap_fraction();
   }
   for (auto& unit : units) unit->end_run();
   for (auto& daemon : daemons) daemon->stop();
@@ -529,13 +584,14 @@ int main(int argc, char** argv) {
       fail = true;
     }
     if (!kill.ok || !kill.demoted || kill.lost_grains != 0 ||
-        kill.executed_grains != kill.total_grains) {
+        kill.executed_grains != kill.total_grains || !kill.froze_mid_run) {
       std::fprintf(stderr,
                    "smoke FAIL: worker-kill run lost %llu grains "
-                   "(executed %llu of %zu, demoted=%d)\n",
+                   "(executed %llu of %zu, demoted=%d, froze mid-run=%d)\n",
                    static_cast<unsigned long long>(kill.lost_grains),
                    static_cast<unsigned long long>(kill.executed_grains),
-                   kill.total_grains, kill.demoted ? 1 : 0);
+                   kill.total_grains, kill.demoted ? 1 : 0,
+                   kill.froze_mid_run ? 1 : 0);
       fail = true;
     }
     if (!pdist.ok || !pdist.bit_identical) {
@@ -545,13 +601,16 @@ int main(int argc, char** argv) {
       fail = true;
     }
     if (!pkill.ok || !pkill.demoted || pkill.lost_grains != 0 ||
-        pkill.executed_grains != pkill.total_grains) {
+        pkill.executed_grains != pkill.total_grains ||
+        !pkill.froze_mid_run) {
       std::fprintf(stderr,
                    "smoke FAIL: pipelined worker-kill run lost %llu "
-                   "grains (executed %llu of %zu, demoted=%d)\n",
+                   "grains (executed %llu of %zu, demoted=%d, froze "
+                   "mid-run=%d)\n",
                    static_cast<unsigned long long>(pkill.lost_grains),
                    static_cast<unsigned long long>(pkill.executed_grains),
-                   pkill.total_grains, pkill.demoted ? 1 : 0);
+                   pkill.total_grains, pkill.demoted ? 1 : 0,
+                   pkill.froze_mid_run ? 1 : 0);
       fail = true;
     }
     if (!pipe.ok || !pipe.grains_exact || !pipe.checksum_match) {

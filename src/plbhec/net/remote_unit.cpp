@@ -98,10 +98,10 @@ void RemoteUnit::end_run() {
     (void)write_frame(*conn, MsgType::kShutdown, {});
 }
 
-RemoteUnit::BlockOutcome RemoteUnit::try_block(rt::Workload& workload,
-                                               std::size_t begin,
-                                               std::size_t end,
-                                               rt::BlockTiming& timing) {
+RemoteUnit::BlockOutcome RemoteUnit::try_window(rt::Workload& workload,
+                                                std::size_t begin,
+                                                std::size_t end,
+                                                rt::BlockTiming& timing) {
   std::shared_ptr<TcpConn> conn;
   {
     std::lock_guard lock(conn_mutex_);
@@ -109,74 +109,18 @@ RemoteUnit::BlockOutcome RemoteUnit::try_block(rt::Workload& workload,
   }
   if (conn == nullptr || conn->cancelled()) return BlockOutcome::kIoError;
 
-  AssignBlockMsg assign;
-  assign.run_id = run_id_;
-  assign.sequence = ++next_sequence_;
-  assign.begin = begin;
-  assign.end = end;
-  const std::vector<std::uint8_t> payload = assign.encode();
-
-  const Clock::time_point t_send = Clock::now();
-  if (!write_frame(*conn, MsgType::kAssignBlock, payload))
-    return BlockOutcome::kIoError;
-  PLBHEC_OBS_RECORD(
-      options_.sink,
-      {seconds_between(t_send, Clock::now()), obs::EventKind::kMsgSent,
-       options_.event_unit, 0.0, 0.0,
-       kFrameHeaderBytes + payload.size() + kFrameTrailerBytes,
-       static_cast<std::uint64_t>(MsgType::kAssignBlock)});
-
-  // Block execution has no deadline of its own — the heartbeat monitor
-  // cancels the connection if the daemon dies mid-block.
-  Frame frame;
-  if (read_frame(*conn, &frame) != FrameStatus::kOk)
-    return BlockOutcome::kIoError;
-  const Clock::time_point t_recv = Clock::now();
-  if (frame.type != MsgType::kBlockResult) return BlockOutcome::kFatal;
-  const auto result = BlockResultMsg::decode(frame.payload);
-  if (!result) return BlockOutcome::kFatal;
-  PLBHEC_OBS_RECORD(
-      options_.sink,
-      {seconds_between(t_send, t_recv), obs::EventKind::kMsgReceived,
-       options_.event_unit, 0.0, 0.0,
-       kFrameHeaderBytes + frame.payload.size() + kFrameTrailerBytes,
-       static_cast<std::uint64_t>(MsgType::kBlockResult)});
-
-  // A daemon-side refusal (bad spec, bad range) is a configuration error
-  // a reconnect cannot fix.
-  if (!result->ok || result->sequence != assign.sequence ||
-      result->begin != begin || result->end != end)
-    return BlockOutcome::kFatal;
-  if (result->results.size() != workload.result_bytes(begin, end))
-    return BlockOutcome::kFatal;
-  workload.read_results(begin, end, result->results.data());
-
-  // The wall time of the round-trip minus the daemon's kernel time is
-  // the transfer cost the scheduler's G_p(x) fit learns from.
-  const double wall = seconds_between(t_send, t_recv);
-  timing.exec_seconds = std::min(result->exec_seconds, wall);
-  timing.transfer_seconds = std::max(0.0, wall - timing.exec_seconds);
-  return BlockOutcome::kOk;
-}
-
-RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
-                                                   std::size_t begin,
-                                                   std::size_t end,
-                                                   rt::BlockTiming& timing) {
-  std::shared_ptr<TcpConn> conn;
-  {
-    std::lock_guard lock(conn_mutex_);
-    conn = data_conn_;
-  }
-  if (conn == nullptr || conn->cancelled()) return BlockOutcome::kIoError;
-
-  const std::size_t depth = options_.pipeline_depth;
+  const std::size_t depth = std::max<std::size_t>(1, options_.pipeline_depth);
   const std::size_t grains = end - begin;
   const std::size_t min_chunk =
       std::max<std::size_t>(1, options_.min_chunk_grains);
-  // Up to two chunks per window slot, so a refill is always ready the
-  // moment a result frees a slot; execute() guarantees >= 2 chunks fit.
-  const std::size_t chunks = std::min(2 * depth, grains / min_chunk);
+  // One chunk — the synchronous round-trip — unless the window is deeper
+  // than one frame and the block holds two minimum chunks. Then up to two
+  // chunks per window slot, so a refill is always ready the moment a
+  // result frees a slot.
+  const std::size_t chunks = depth > 1 && grains / min_chunk >= 2
+                                 ? std::min(2 * depth, grains / min_chunk)
+                                 : 1;
+  const bool windowed = chunks > 1;
 
   struct Chunk {
     std::size_t begin = 0;
@@ -186,15 +130,13 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
     double wire_seconds = 0.0;
     bool done = false;
   };
+  // Even split; the first grains % chunks chunks take one grain more.
   std::vector<Chunk> plan(chunks);
-  const std::size_t chunk_base = grains / chunks;
-  std::size_t extra = grains % chunks;
   std::size_t cursor = begin;
-  for (Chunk& c : plan) {
-    c.begin = cursor;
-    c.end = cursor + chunk_base + (extra > 0 ? 1 : 0);
-    if (extra > 0) --extra;
-    cursor = c.end;
+  for (std::size_t i = 0; i < chunks; ++i) {
+    plan[i].begin = cursor;
+    cursor += grains / chunks + (i < grains % chunks ? 1 : 0);
+    plan[i].end = cursor;
   }
   const std::uint64_t base_seq = next_sequence_ + 1;
   next_sequence_ += chunks;
@@ -250,18 +192,20 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
       const Clock::time_point t_send = Clock::now();
       if (!write_frame(*conn, MsgType::kAssignBlock, body, scratch))
         return BlockOutcome::kIoError;
-      plan[next_send].wire_seconds += seconds_between(t_send, Clock::now());
+      const double sent = seconds_between(t_send, Clock::now());
+      plan[next_send].wire_seconds += sent;
       PLBHEC_OBS_RECORD(
           options_.sink,
-          {seconds_between(t_send, Clock::now()), obs::EventKind::kMsgSent,
-           options_.event_unit, 0.0, 0.0,
+          {sent, obs::EventKind::kMsgSent, options_.event_unit, 0.0, 0.0,
            kFrameHeaderBytes + body.size() + kFrameTrailerBytes,
            static_cast<std::uint64_t>(MsgType::kAssignBlock)});
       ++next_send;
       ++in_flight;
-      wire_stats_.chunks_pipelined += 1;
-      wire_stats_.inflight_peak =
-          std::max<std::uint64_t>(wire_stats_.inflight_peak, in_flight);
+      if (windowed) {
+        wire_stats_.chunks_pipelined += 1;
+        wire_stats_.inflight_peak =
+            std::max<std::uint64_t>(wire_stats_.inflight_peak, in_flight);
+      }
     }
 
     // One result frame — a single chunk or a batch, in any order. No
@@ -302,20 +246,27 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
   }
 
   // Every chunk arrived: apply all results (all-or-nothing contract).
-  for (const Chunk& c : plan)
-    workload.read_results(c.begin, c.end, c.results.data());
-
+  const Clock::time_point t_recv = Clock::now();
   double exec_total = 0.0;
   double wire_total = 0.0;
   for (const Chunk& c : plan) {
+    workload.read_results(c.begin, c.end, c.results.data());
     exec_total += c.exec_seconds;
     wire_total += c.wire_seconds;
   }
-  const double wall = seconds_between(t_start, Clock::now());
-  // Unlike the sync path, transfer is measured per chunk (send + result
+  const double wall =
+      seconds_between(t_start, windowed ? Clock::now() : t_recv);
+  timing.exec_seconds = std::min(exec_total, wall);
+  if (!windowed) {
+    // One frame each way: the round-trip wall minus the daemon's kernel
+    // time is the transfer cost the scheduler's G_p(x) fit learns from.
+    // wall_seconds stays 0, which tells the scheduler nothing overlapped.
+    timing.transfer_seconds = std::max(0.0, wall - timing.exec_seconds);
+    return BlockOutcome::kOk;
+  }
+  // Across several chunks transfer is measured per chunk (send + result
   // drain), not inferred as wall - exec: under overlap that difference
   // no longer equals the wire cost.
-  timing.exec_seconds = std::min(exec_total, wall);
   timing.transfer_seconds = std::clamp(wire_total, 0.0, wall);
   timing.wall_seconds = wall;
 
@@ -328,11 +279,17 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
   return BlockOutcome::kOk;
 }
 
-double RemoteUnit::overlap_fraction() const {
-  if (wire_stats_.overlap_floor_seconds <= 0.0) return 0.0;
-  return std::clamp(
-      wire_stats_.overlap_saved_seconds / wire_stats_.overlap_floor_seconds,
-      0.0, 1.0);
+double RemoteUnit::WireStats::overlap_fraction() const {
+  if (overlap_floor_seconds <= 0.0) return 0.0;
+  return std::clamp(overlap_saved_seconds / overlap_floor_seconds, 0.0, 1.0);
+}
+
+void RemoteUnit::WireStats::merge(const WireStats& other) {
+  chunks_pipelined += other.chunks_pipelined;
+  batched_results += other.batched_results;
+  inflight_peak = std::max(inflight_peak, other.inflight_peak);
+  overlap_saved_seconds += other.overlap_saved_seconds;
+  overlap_floor_seconds += other.overlap_floor_seconds;
 }
 
 void RemoteUnit::publish_counters(obs::CounterRegistry& registry) const {
@@ -341,7 +298,8 @@ void RemoteUnit::publish_counters(obs::CounterRegistry& registry) const {
   registry.set(prefix + "batched_results", wire_stats_.batched_results);
   registry.set(prefix + "inflight_peak", wire_stats_.inflight_peak);
   registry.set(prefix + "overlap_milli",
-               static_cast<std::uint64_t>(overlap_fraction() * 1000.0 + 0.5));
+               static_cast<std::uint64_t>(
+                   wire_stats_.overlap_fraction() * 1000.0 + 0.5));
   registry.set(prefix + "reconnects", reconnects_.load());
   registry.set(prefix + "heartbeats_missed", heartbeats_missed_.load());
 }
@@ -382,27 +340,17 @@ bool RemoteUnit::reconnect() {
 
 bool RemoteUnit::execute(rt::Workload& workload, std::size_t begin,
                          std::size_t end, rt::BlockTiming& timing) {
-  const std::size_t min_chunk =
-      std::max<std::size_t>(1, options_.min_chunk_grains);
-  const bool pipelined =
-      options_.pipeline_depth > 1 && (end - begin) / min_chunk >= 2;
-  while (true) {
-    if (demoted()) return false;
-    switch (pipelined ? try_pipelined(workload, begin, end, timing)
-                      : try_block(workload, begin, end, timing)) {
-      case BlockOutcome::kOk:
-        return true;
-      case BlockOutcome::kFatal:
-        demoted_.store(true, std::memory_order_release);
-        return false;
-      case BlockOutcome::kIoError:
-        if (!reconnect()) {
-          demoted_.store(true, std::memory_order_release);
-          return false;
-        }
-        break;  // retry the block on the fresh connection
+  while (!demoted()) {
+    const BlockOutcome outcome = try_window(workload, begin, end, timing);
+    if (outcome == BlockOutcome::kOk) return true;
+    // A fatal outcome (a refusal or a mismatched result) is a fault a
+    // reconnect cannot fix; an I/O error retries on a fresh connection.
+    if (outcome == BlockOutcome::kFatal || !reconnect()) {
+      demoted_.store(true, std::memory_order_release);
+      return false;
     }
   }
+  return false;
 }
 
 void RemoteUnit::heartbeat_loop() {

@@ -1,13 +1,13 @@
 #pragma once
 /// \file remote_unit.hpp
 /// Coordinator-side ExecUnit backed by a worker daemon across TCP. The
-/// ThreadEngine drives it exactly like a local unit; each block becomes an
-/// AssignBlock/BlockResult round-trip, and the observation fed back to the
-/// scheduler splits the measured wall time into the daemon's reported
-/// kernel time (-> F_p(x) samples) and the remainder — serialization,
-/// wire, deserialization — as transfer time (-> G_p(x) samples). The
-/// transfer model the paper fits per unit is therefore learned from real
-/// wire behavior, not an emulated memcpy.
+/// ThreadEngine drives it exactly like a local unit; each block is sent as
+/// a window of AssignBlock chunk frames (one frame by default), and the
+/// observation fed back to the scheduler splits the measured wall time
+/// into the daemon's reported kernel time (-> F_p(x) samples) and the
+/// wire cost — serialization, wire, deserialization — as transfer time
+/// (-> G_p(x) samples). The transfer model the paper fits per unit is
+/// therefore learned from real wire behavior, not an emulated memcpy.
 ///
 /// Robustness: a dedicated heartbeat connection probes the daemon at a
 /// fixed interval; after `max_missed_heartbeats` consecutive misses the
@@ -55,19 +55,19 @@ struct RemoteUnitOptions {
   /// Unit id stamped on this link's events (the engine assigns ids in
   /// construction order, so the caller knows it).
   std::uint32_t event_unit = 0xffff'ffffu;
-  /// Data-plane pipelining: how many chunk frames the unit keeps in
-  /// flight on the data connection. 1 = the synchronous protocol (one
-  /// AssignBlock/BlockResult round-trip per engine block). N > 1 splits
-  /// every large enough block into up to 2N sequence-numbered chunks and
-  /// streams them through a windowed in-flight queue, so the wire time
-  /// of one chunk overlaps the daemon's kernel on another. Chunk results
-  /// are buffered and applied to the workload only once the whole block
-  /// completed — a failed block leaves the workload untouched and the
-  /// engine requeues the full range, exactly as in the sync protocol.
+  /// Data-plane window: how many chunk frames the unit keeps in flight on
+  /// the data connection. Every engine block travels as a window of
+  /// sequence-numbered chunks whose results are buffered and applied to
+  /// the workload only once the whole block completed, so a failed block
+  /// leaves the workload untouched and the engine requeues the full
+  /// range. At depth 1 the window holds one chunk: one AssignBlock, one
+  /// BlockResult, the synchronous round-trip. N > 1 splits every large
+  /// enough block into up to 2N chunks, so the wire time of one chunk
+  /// overlaps the daemon's kernel on another.
   std::size_t pipeline_depth = 1;
   /// Smallest chunk worth a frame of its own; blocks shorter than two
-  /// minimum chunks (probing blocks, tail blocks) always take the
-  /// synchronous path, keeping modeling-phase samples pipeline-free.
+  /// minimum chunks (probing blocks, tail blocks) travel as one chunk at
+  /// any depth, keeping modeling-phase samples pipeline-free.
   std::size_t min_chunk_grains = 4;
 };
 
@@ -105,16 +105,19 @@ class RemoteUnit final : public rt::ExecUnit {
   /// run; read them after the run ended (the engine's thread joins
   /// establish the ordering).
   struct WireStats {
-    std::uint64_t chunks_pipelined = 0;  ///< chunk frames sent windowed
+    std::uint64_t chunks_pipelined = 0;  ///< frames of multi-chunk blocks
     std::uint64_t batched_results = 0;   ///< results arrived in batches
     std::uint64_t inflight_peak = 0;     ///< max chunks in flight at once
     double overlap_saved_seconds = 0.0;  ///< sum of transfer+exec-wall
     double overlap_floor_seconds = 0.0;  ///< sum of min(transfer, exec)
+    /// Share in [0, 1] of the smaller phase (wire vs kernel) the window
+    /// hid; 0 while no block was split into chunks.
+    [[nodiscard]] double overlap_fraction() const;
+    /// Adds `other`'s counts and sums (peak: the larger), so several
+    /// links aggregate into one overlap fraction.
+    void merge(const WireStats& other);
   };
   [[nodiscard]] const WireStats& wire_stats() const { return wire_stats_; }
-  /// Measured overlap fraction in [0, 1]: the share of the smaller phase
-  /// (wire vs kernel) the pipeline hid. 0 under the sync protocol.
-  [[nodiscard]] double overlap_fraction() const;
   /// Publishes this link's wire-health counters ("net.<name>.*").
   void publish_counters(obs::CounterRegistry& registry) const;
 
@@ -128,14 +131,11 @@ class RemoteUnit final : public rt::ExecUnit {
   [[nodiscard]] std::unique_ptr<TcpConn> dial(double timeout_seconds);
   /// Sends BeginRun on `conn` and waits for a positive RunAck.
   [[nodiscard]] bool start_run_on(TcpConn& conn);
-  [[nodiscard]] BlockOutcome try_block(rt::Workload& workload,
-                                       std::size_t begin, std::size_t end,
-                                       rt::BlockTiming& timing);
-  /// Windowed multi-chunk execution of one engine block (the pipelined
-  /// data plane); see RemoteUnitOptions::pipeline_depth.
-  [[nodiscard]] BlockOutcome try_pipelined(rt::Workload& workload,
-                                           std::size_t begin, std::size_t end,
-                                           rt::BlockTiming& timing);
+  /// The one data path: sends a block as a window of chunk frames and
+  /// reads their results (see RemoteUnitOptions::pipeline_depth).
+  [[nodiscard]] BlockOutcome try_window(rt::Workload& workload,
+                                        std::size_t begin, std::size_t end,
+                                        rt::BlockTiming& timing);
   /// Bounded-backoff re-dial + re-BeginRun; false when exhausted.
   [[nodiscard]] bool reconnect();
   void heartbeat_loop();
@@ -147,9 +147,9 @@ class RemoteUnit final : public rt::ExecUnit {
   RemoteUnitOptions options_;
   std::string spec_;        ///< current run's workload spec
   std::uint64_t run_id_ = 0;
-  /// Monotonic frame sequence for the data plane; pipelined chunks are
-  /// matched to their (possibly out-of-order, possibly batched) results
-  /// by this number.
+  /// Monotonic frame sequence for the data plane; chunks are matched to
+  /// their (possibly out-of-order, possibly batched) results by this
+  /// number.
   std::uint64_t next_sequence_ = 0;
   WireStats wire_stats_;
 

@@ -7,8 +7,9 @@
 // detach_unit contract (including its death conditions), and the
 // pipelined data plane: chunked blocks bit-identical to sync, out-of-
 // order and batched result frames, all-or-nothing application on chunk
-// failure, mid-pipeline freeze with zero lost grains, partial send/recv
-// through shrunken kernel socket buffers, and the batch codec's bounds.
+// failure, the depth-1 window's single round-trip and its result checks,
+// mid-pipeline freeze with zero lost grains, partial send/recv through
+// shrunken kernel socket buffers, and the batch codec's bounds.
 
 #include <gtest/gtest.h>
 
@@ -576,12 +577,15 @@ TEST(Pipeline, ChunkedMatMulIsBitIdenticalToLocal) {
 }
 
 // The fake-server tests drive a RemoteUnit against a scripted peer, so
-// frame ordering is fully controlled. Both share this setup: 24 grains /
+// frame ordering is fully controlled. They share this setup: 24 grains /
 // min_chunk 4 with a window deeper than the chunk count puts all 6
-// chunks in flight before the first reply.
+// chunks in flight before the first reply; at depth 1 the whole block is
+// one chunk (`window` = 1).
 struct FakeServerRig {
   std::unique_ptr<TcpListener> listener = TcpListener::bind_loopback(0);
   apps::SyntheticWorkload::Config cfg;
+  std::size_t window = 6;  ///< AssignBlock frames read before replying
+  MsgType trailing = MsgType::kHello;  ///< first frame after the reply
   FakeServerRig() {
     cfg.grains = 24;
     cfg.spin_iters_per_grain = 50;
@@ -625,7 +629,7 @@ struct FakeServerRig {
     if (!write_frame(*conn, MsgType::kRunAck, run_ack.encode())) return false;
 
     std::vector<AssignBlockMsg> assigns;
-    while (assigns.size() < 6) {
+    while (assigns.size() < window) {
       if (read_frame(*conn, &f, 5.0) != FrameStatus::kOk) return false;
       if (f.type != MsgType::kAssignBlock) return false;
       const auto assign = AssignBlockMsg::decode(f.payload);
@@ -649,7 +653,7 @@ struct FakeServerRig {
     };
     if (!reply(*conn, assigns, make_result)) return false;
     // Drain until the coordinator's Shutdown (or the link drops).
-    (void)read_frame(*conn, &f, 1.0);
+    if (read_frame(*conn, &f, 5.0) == FrameStatus::kOk) trailing = f.type;
     return true;
   }
 };
@@ -731,6 +735,84 @@ TEST(Pipeline, FailedChunkLeavesWorkloadUntouched) {
   EXPECT_EQ(coordinator_side.checksum(), 0.0);
 }
 
+// Depth 1 is the one-chunk window: a single AssignBlock for the whole
+// range, a single result checked for run, sequence, range, size and ok.
+// Any mismatch demotes the unit and leaves the workload untouched; a good
+// reply is accounted as a round-trip (transfer = wall - exec, nothing
+// overlapped).
+TEST(Pipeline, DepthOneWindowIsOneRoundTrip) {
+  enum class Fault { kNone, kSequence, kRange, kRunId, kSize, kRefused };
+  for (const Fault fault : {Fault::kNone, Fault::kSequence, Fault::kRange,
+                            Fault::kRunId, Fault::kSize, Fault::kRefused}) {
+    SCOPED_TRACE(static_cast<int>(fault));
+    FakeServerRig rig;
+    ASSERT_NE(rig.listener, nullptr);
+    rig.window = 1;
+    apps::SyntheticWorkload coordinator_side(rig.cfg);
+
+    AssignBlockMsg sent;
+    std::atomic<bool> served{false};
+    std::thread server([&] {
+      served = rig.serve_one_window([&](TcpConn& conn, const auto& assigns,
+                                        const auto& make_result) {
+        sent = assigns.front();
+        BlockResultMsg r = make_result(sent);
+        r.exec_seconds = 1e-6;
+        switch (fault) {
+          case Fault::kNone: break;
+          case Fault::kSequence: r.sequence += 1; break;
+          case Fault::kRange: r.end -= 1; break;
+          case Fault::kRunId: r.run_id += 1; break;
+          case Fault::kSize: r.results.push_back(0); break;
+          case Fault::kRefused:
+            r.ok = false;
+            r.results.clear();
+            break;
+        }
+        return write_frame(conn, MsgType::kBlockResult, r.encode());
+      });
+    });
+
+    RemoteUnitOptions ro = rig.unit_options();
+    ro.pipeline_depth = 1;
+    RemoteUnit unit(ro);
+    ASSERT_TRUE(unit.begin_run(coordinator_side));
+    rt::BlockTiming timing;
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool ok = unit.execute(coordinator_side, 0, rig.cfg.grains, timing);
+    const double outer_wall = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+    unit.end_run();
+    server.join();
+    ASSERT_TRUE(served.load());
+
+    // Exactly one AssignBlock covering the whole range; the next frame
+    // the peer saw was the Shutdown, not a retry or a second chunk.
+    EXPECT_EQ(sent.begin, 0u);
+    EXPECT_EQ(sent.end, rig.cfg.grains);
+    EXPECT_EQ(rig.trailing, MsgType::kShutdown);
+    EXPECT_EQ(unit.wire_stats().chunks_pipelined, 0u);
+    EXPECT_EQ(unit.wire_stats().inflight_peak, 0u);
+
+    if (fault != Fault::kNone) {
+      EXPECT_FALSE(ok);
+      EXPECT_TRUE(unit.demoted());
+      EXPECT_EQ(coordinator_side.executed_grains(), 0u);
+      EXPECT_EQ(coordinator_side.checksum(), 0.0);
+      continue;
+    }
+    ASSERT_TRUE(ok);
+    EXPECT_FALSE(unit.demoted());
+    EXPECT_EQ(coordinator_side.executed_grains(), rig.cfg.grains);
+    EXPECT_EQ(timing.exec_seconds, 1e-6);
+    EXPECT_GT(timing.transfer_seconds, 0.0);
+    EXPECT_LE(timing.transfer_seconds + timing.exec_seconds, outer_wall);
+    EXPECT_EQ(timing.wall_seconds, 0.0);
+    EXPECT_EQ(unit.wire_stats().overlap_floor_seconds, 0.0);
+  }
+}
+
 TEST(Pipeline, FrozenDaemonMidPipelineLosesZeroGrains) {
   constexpr std::size_t kGrains = 10'000;
   WorkerDaemon healthy({0, "wd-ok", 1.0});
@@ -804,12 +886,12 @@ TEST(Pipeline, EngineRunPublishesWireAndOverlapCounters) {
 
   // Execution-phase blocks are large enough to chunk, so the pipeline
   // must have engaged on at least one unit...
-  EXPECT_GT(p1->wire_stats().chunks_pipelined +
-                p2->wire_stats().chunks_pipelined,
-            0u);
+  RemoteUnit::WireStats total = p1->wire_stats();
+  total.merge(p2->wire_stats());
+  EXPECT_GT(total.chunks_pipelined, 0u);
   for (const RemoteUnit* p : {p1, p2}) {
-    EXPECT_GE(p->overlap_fraction(), 0.0);
-    EXPECT_LE(p->overlap_fraction(), 1.0);
+    EXPECT_GE(p->wire_stats().overlap_fraction(), 0.0);
+    EXPECT_LE(p->wire_stats().overlap_fraction(), 1.0);
   }
   // ...the scheduler tracked a per-unit overlap EWMA...
   ASSERT_EQ(plb.overlap_estimates().size(), 2u);

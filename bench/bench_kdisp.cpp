@@ -15,10 +15,10 @@
 //     checked to rounding instead).
 //
 // Emits JSON (stdout, plus an output path if given); the committed
-// numbers live in bench/results/bench_kdisp.json and the absolute gates
-// (KdispGate in tools/check_bench.py) hold on every machine. `--smoke`
-// shrinks the timing budgets and enforces the same claims via the exit
-// code.
+// numbers live in bench/results/bench_kdisp.json, and the claims are
+// absolute rows of the gate table in tools/check_bench.py, so they hold
+// on every machine. `--smoke` shrinks the timing budgets; gate its JSON
+// with `python3 tools/check_bench.py BASELINE.json FRESH.json`.
 
 #include <algorithm>
 #include <chrono>
@@ -431,30 +431,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (smoke) {
-    int rc = 0;
-    if (!isa_identical) {
-      std::fprintf(stderr,
-                   "smoke FAIL: ISA variants diverge on a reduction family\n");
-      rc = 1;
-    }
-    if (fit_r2_min < 0.95) {
-      std::fprintf(stderr, "smoke FAIL: family fit R^2 %.3f < 0.95\n",
-                   fit_r2_min);
-      rc = 1;
-    }
-    if (distinct_subsets < 2) {
-      std::fprintf(stderr,
-                   "smoke FAIL: all families fit the same basis subset\n");
-      rc = 1;
-    }
-    if (simd_host && best_isa_speedup < 1.3) {
-      std::fprintf(stderr, "smoke FAIL: best-ISA speedup %.2f < 1.3\n",
-                   best_isa_speedup);
-      rc = 1;
-    }
-    if (rc == 0) std::fputs("smoke OK\n", stderr);
-    return rc;
-  }
+  // The claims are checked on the JSON by the bench_kdisp rows of the
+  // gate table in tools/check_bench.py, not here.
+  if (smoke) std::fputs("smoke OK\n", stderr);
   return 0;
 }

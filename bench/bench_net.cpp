@@ -33,13 +33,13 @@
 //     is gated at an absolute 0.75 ceiling.
 //
 // Emits JSON (stdout, plus an output path if given); the committed
-// baseline lives in bench/results/bench_net.json and tools/check_bench.py
-// gates transfer_r2, the makespan ratio, plus the structural identities
-// (bit_identical, lost_grains, demoted, and their pipeline_* twins).
-// `--smoke` exits nonzero when R^2 < 0.7, either distributed result
-// diverges, either kill run loses grains or does not freeze mid-run, or
-// the depth-8 leg fails to beat depth 1 by 25% -- the acceptance gate CI
-// runs on every push.
+// baseline lives in bench/results/bench_net.json. The gate table in
+// tools/check_bench.py holds the JSON's claims: transfer_r2, the makespan
+// ratio, bit identity, zero lost grains and demotion (and their
+// pipeline_* twins). `--smoke` exits nonzero on what the JSON cannot
+// state alone: R^2 < 0.7, a grain-count mismatch, a kill run that loses
+// grains or does not freeze mid-run, a failed comparison leg or an
+// overlap fraction outside [0, 1].
 
 #include <algorithm>
 #include <atomic>
@@ -570,12 +570,6 @@ int main(int argc, char** argv) {
                    curve.model.r2, curve.samples);
       fail = true;
     }
-    if (!dist.ok || !dist.bit_identical) {
-      std::fputs("smoke FAIL: distributed matmul diverged from the "
-                 "single-threaded reference\n",
-                 stderr);
-      fail = true;
-    }
     if (dist.grains_counted != dist.total_grains) {
       std::fprintf(stderr,
                    "smoke FAIL: distributed run counted %zu of %zu "
@@ -592,12 +586,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(kill.executed_grains),
                    kill.total_grains, kill.demoted ? 1 : 0,
                    kill.froze_mid_run ? 1 : 0);
-      fail = true;
-    }
-    if (!pdist.ok || !pdist.bit_identical) {
-      std::fputs("smoke FAIL: pipelined distributed matmul diverged from "
-                 "the single-threaded reference\n",
-                 stderr);
       fail = true;
     }
     if (!pkill.ok || !pkill.demoted || pkill.lost_grains != 0 ||
@@ -617,13 +605,6 @@ int main(int argc, char** argv) {
       std::fputs("smoke FAIL: pipeline comparison leg failed transport "
                  "or verification\n",
                  stderr);
-      fail = true;
-    } else if (pipe.ratio > 0.75) {
-      std::fprintf(stderr,
-                   "smoke FAIL: pipelined/sync makespan ratio %.3f > "
-                   "0.75 (sync %.1f us, pipelined %.1f us)\n",
-                   pipe.ratio, pipe.sync_makespan * 1e6,
-                   pipe.pipelined_makespan * 1e6);
       fail = true;
     }
     if (pipe.overlap_fraction < 0.0 || pipe.overlap_fraction > 1.0) {

@@ -9,12 +9,13 @@
 /// times the coordinator measures around each block round-trip; the table
 /// at the end compares those measured samples with the fitted line.
 ///
-/// --pipeline-depth N sets how many row frames each remote unit keeps in
-/// flight; blocks of two rows or more are then streamed through the
-/// window, and the run reports how many chunks it sent that way and how
-/// much of the wire/kernel overlap the window hid. The controlled
-/// depth-1 vs depth-N comparison over identical frames is
-/// `bench/bench_net` experiment 4.
+/// --pipeline-depth N sets how many row frames each remote unit may keep
+/// in flight. A block is streamed through the window only when it holds
+/// at least two minimum-size chunks; at demo sizes PLB-HeC hands the
+/// remote units 1-row blocks, so the reported chunk count is usually 0
+/// whatever the depth. Multi-chunk windows are covered by
+/// `bench/bench_net` experiment 4 (depth 1 vs depth N over identical
+/// frames) and the `Pipeline.*` tests.
 ///
 /// Usage: distributed_matmul [--n 384] [--workers 2] [--pipeline-depth 1]
 

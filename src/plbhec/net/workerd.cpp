@@ -114,7 +114,13 @@ void WorkerDaemon::wake() {
 }
 
 void WorkerDaemon::kill() {
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Stored under exec_mutex_: an executor between its wait predicate
+    // and its sleep would otherwise miss the notify below, and stop()
+    // would hang joining it.
+    std::lock_guard lock(exec_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   listener_->close();
   {
     // Synchronous cut so a caller returning from kill() immediately sees
@@ -165,7 +171,10 @@ void WorkerDaemon::freeze() {
 }
 
 void WorkerDaemon::unfreeze() {
-  frozen_.store(false, std::memory_order_release);
+  {
+    std::lock_guard lock(exec_mutex_);  // same lost-wakeup guard as kill()
+    frozen_.store(false, std::memory_order_release);
+  }
   exec_cv_.notify_all();
   wake();
 }

@@ -3,7 +3,8 @@
 // version / type / checksum corruption, random-byte fuzz), daemon <->
 // coordinator loopback round-trips with bit-identical results vs
 // in-process execution, profile sync, heartbeat-timeout demotion with
-// zero lost grains, reconnect after a daemon restart, the engine's
+// zero lost grains, reconnect after a daemon restart, stop() waking every
+// executor lane after freeze/unfreeze/kill rounds, the engine's
 // detach_unit contract (including its death conditions), and the
 // pipelined data plane: chunked blocks bit-identical to sync, out-of-
 // order and batched result frames, all-or-nothing application on chunk
@@ -18,6 +19,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -541,6 +544,50 @@ TEST(Failure, ReconnectAfterDaemonRestartResumesService) {
   apps::MatMulWorkload local(64, /*materialize=*/true);
   local.execute_cpu(0, 64);
   EXPECT_EQ(workload.result(), local.result());
+}
+
+// kill() and unfreeze() notify the executor lanes after a flag store. A
+// lane that has just evaluated its wait predicate must still see that
+// notify, or stop() hangs joining it. unfreeze() wakes every lane right
+// before stop(), so each round races the lanes' predicate checks against
+// stop()'s store. A watchdog turns a hang into an abort.
+TEST(DaemonLifecycle, StopWakesEveryExecutorLane) {
+  constexpr int kRounds = 1000;
+  std::atomic<int> rounds_done{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    int seen = -1;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (!finished.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const int now_done = rounds_done.load();
+      if (now_done != seen) {
+        seen = now_done;
+        last_progress = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - last_progress >
+                 std::chrono::seconds(20)) {
+        std::fprintf(stderr, "daemon round %d hung in stop()\n", now_done);
+        std::abort();
+      }
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    WorkerDaemon daemon({0, "wd-stress", 1.0, 8});
+    for (int i = 0; i < 3; ++i) {
+      daemon.freeze();
+      daemon.unfreeze();
+    }
+    if (round % 2 == 1) {
+      daemon.unfreeze();
+      daemon.kill();
+    }
+    daemon.unfreeze();
+    daemon.stop();
+    rounds_done.fetch_add(1);
+  }
+  finished.store(true);
+  watchdog.join();
+  EXPECT_EQ(rounds_done.load(), kRounds);
 }
 
 // ---- Pipelined data plane -------------------------------------------------

@@ -1,93 +1,14 @@
 #!/usr/bin/env python3
 """Bench-JSON regression gate.
 
-Compares a freshly produced bench JSON (bench_kernels / bench_fit /
-bench_observe --smoke output) against the committed baseline in
-bench/results/ and fails when a machine-independent *ratio* has
-collapsed or a correctness residual has blown up.
-
-Absolute timings (``*_us``, ``*gflops``) and machine facts
-(``hardware_concurrency``) are machine-dependent and are only checked
-structurally (key present, right type). Ratio keys are compared with
-generous floors -- CI machines are noisy and slower than the machine
-that produced the committed numbers; the gate is meant to catch "the
-optimization is gone", not a 20% wobble:
-
-* ``speedup``              fresh >= 0.20 x baseline
-* ``overhead_ratio``       fresh >= 0.05 x baseline
-* ``parallel_speedup``     fresh >= 0.05 x baseline
-* ``cache_speedup``        fresh >= 0.05 x baseline
-* ``overhead_pct``         fresh <= max(2.0, 2 x baseline)  (cost, lower=better)
-* ``max_rel_diff``         fresh <= max(1e-6, 100 x baseline)
-* ``max_abs_diff``         fresh <= max(1e-6, 100 x baseline)
-* ``probing_saved_ratio``  fresh >= 0.25 x baseline  (bench_service:
-  probing blocks the warm start saved relative to the cold run's total)
-* ``transfer_r2``          fresh >= 0.75 x baseline  (bench_net: G_p(x)
-  fit quality over measured loopback wire timings)
-
-Tail-latency keys from the 10k-job trace (``stretch_p50/p95/p99``,
-``queue_wait_p50/p95/p99``) are *virtual-time* and deterministic for a
-given build, but legitimately move when scheduler policy changes; they
-carry a ceiling of ``max(abs_slack, 1.5 x baseline)`` (lower = better,
-and the absolute slack keeps near-zero queue waits from tripping on
-noise-sized absolute shifts).
-
-``warm_vs_cold_makespan_ratio`` (bench_service) carries an *absolute*
-1.05 ceiling: the warm start must never cost more than 5% makespan over
-the cold run on the same trace, independent of the baseline.
-
-``pipelined_vs_sync_makespan_ratio`` (bench_net) carries an *absolute*
-0.75 ceiling independent of the baseline: the pipelined data plane must
-beat the synchronous protocol by at least 25% on the machine running
-the gate, not merely stay in the baseline's neighborhood.
-
-``row_cost_ratio`` (bench_kernels ``gemm_rows``) carries an *absolute*
-4.0 ceiling: a 1-row GEMM call at n=1024 may cost at most 4x the per-row
-time of a full 1024-row product. Without the row-streaming path a 1-row
-call repacks all of B and the ratio sits near 15.
-
-``bench_matrix`` JSONs (the scenario-grid chaos harness) additionally
-pass through :class:`WinRateGate`, which is *absolute* rather than
-baseline-relative: ``win_rate`` (the fraction of grid cells where
-PLB-HeC beats or ties the best of the four baselines) must stay at or
-above 0.40, ``lost_grain_violations`` must be exactly 0 -- a fault
-script may requeue work but must never lose a grain -- and
-``replay_identical`` must be true (the harness re-runs its first cell
-from the cell id alone and byte-compares the row). When the gate
-fails it prints the exact replay command for every offending cell
-(``./build/bench/bench_matrix --cell '<id>'``) so the failure
-reproduces locally from the CI log alone. Per-cell makespans are
-deterministic per build but drift across compilers, so they are not
-identity-checked; the cell ids, grid shape and scheduler roster are.
-
-``bench_kdisp`` JSONs (kernel-dispatch registry + workload families)
-pass through :class:`KdispGate`, also absolute: every family must fit
-its simulated device curve with ``R^2 >= 0.95`` on at least one unit
-class, at least two distinct winning basis subsets must appear across
-the families (``distinct_subsets``), the reduction families must stay
-byte-identical across ISA variants (``isa_identical``), and on a host
-with vector units (``simd_host``) the best registered variant must
-beat forced-scalar by ``best_isa_speedup >= 1.3`` on at least one
-family. Per-variant timings and the resolved ISA names are
-machine-dependent and unchecked beyond structure; the gemm row's
-``max_rel_diff`` (the documented FMA exception) rides the usual
-residual ceiling.
-
-Identity keys (``n``, ``samples``, ``lanes``, ``units``, ...) and the
-overall JSON structure must match exactly, so a silently shrunk sweep
-also fails the gate. For bench_service the arrival trace itself is
-identity-checked (``trace_kinds``, ``trace_priorities``, ``jobs``,
-``replay_identical``): the fixed-seed trace must replay structurally
-unchanged, and the two warm replays must have agreed exactly. The
-10k-job trace is identity-checked on its shape (``trace10k_jobs``)
-but *not* on ``trace10k_order_digest``: the digest is deterministic
-per build yet moves with any scheduler-policy change, so it is
-published for replay debugging rather than gated. For
-bench_net the correctness facts are identity-checked
-(``bit_identical``, ``lost_grains``, ``demoted``, and their
-``pipeline_*`` twins): the distributed product must stay bit-identical
-under both protocols and both worker-kill runs must keep losing zero
-grains.
+Compares a fresh bench JSON against its committed baseline in
+bench/results/. The fresh JSON must keep the baseline's structure (same
+keys, same list lengths, compatible types), and every row of GATES that
+names one of its fields must hold. Baseline-relative rows catch "the
+optimization is gone", not a 20% wobble on a noisy CI host. Absolute
+rows state claims that hold on every host, so they also bite when a
+JSON is gated against itself. Fields without a row are tolerated, so a
+bench can add fields without touching this file.
 
 Usage:  check_bench.py BASELINE.json FRESH.json [more pairs ...]
         check_bench.py --self-test
@@ -95,273 +16,165 @@ Exit:   0 all gates pass, 1 otherwise (every violation is printed).
 """
 
 import json
+import os
 import sys
+from collections import namedtuple
+from fnmatch import fnmatchcase
 
-# key -> (kind, factor); kind "floor" = fresh >= factor * base,
-# "ceil" = fresh <= max(abs_floor, factor * base).
-RATIO_GATES = {
-    "speedup": ("floor", 0.20),
-    "overhead_ratio": ("floor", 0.05),
-    "parallel_speedup": ("floor", 0.05),
-    "cache_speedup": ("floor", 0.05),
-    "probing_saved_ratio": ("floor", 0.25),
-    "transfer_r2": ("floor", 0.75),
+# One gate row.
+#   key    space-separated field specs, each checked in every dict that
+#          has the field. "a|b" and globs ("*_us") name alternatives:
+#          the spec holds if any field it names holds.
+#   kind   a key of KINDS.
+#   bound  the kind's factor or absolute value (None for same/type).
+#   reason why the bound holds; printed with every violation.
+#   bench  "benchmark" names the row is scoped to (None: every bench). A
+#          scoped row fails when the bench's JSON lacks its field.
+#   slack  absolute floor under a "ceil" row's ceiling.
+#   when   a sibling field that must be truthy for the row to apply.
+Row = namedtuple("Row", "key kind bound reason bench slack when",
+                 defaults=(None, 0.0, None))
+
+# kind -> (holds(fresh, base, row), the bound as text)
+KINDS = {
+    "type": (lambda f, b, r: True, "only its type"),
+    "same": (lambda f, b, r: f == b, "== baseline {b!r}"),
+    "floor": (lambda f, b, r: f >= r.bound * b,
+              ">= {r.bound} x baseline {b:.3g}"),
+    "ceil": (lambda f, b, r: f <= max(r.slack, r.bound * b),
+             "<= max({r.slack}, {r.bound} x baseline {b:.3g})"),
+    "min": (lambda f, b, r: f >= r.bound, ">= {r.bound}"),
+    "max": (lambda f, b, r: f <= r.bound, "<= {r.bound}"),
+    "eq": (lambda f, b, r: f == r.bound, "== {r.bound!r}"),
 }
-CEIL_GATES = {
-    "overhead_pct": 2.0,  # abs ceiling; recording must stay under 2%
-    "max_rel_diff": 1e-6,
-    "max_abs_diff": 1e-6,
-}
-# Tail-latency ceilings (virtual time, lower = better):
-# fresh <= max(abs_slack, factor * base). The absolute slack keeps
-# near-zero baselines (an idle-ish queue wait) from failing on tiny
-# absolute shifts.
-TAIL_GATES = {
-    "stretch_p50": (1.0, 1.5),
-    "stretch_p95": (1.0, 1.5),
-    "stretch_p99": (1.0, 1.5),
-    "queue_wait_p50": (1.0, 1.5),
-    "queue_wait_p95": (1.0, 1.5),
-    "queue_wait_p99": (1.0, 1.5),
-}
-# Hard absolute ceilings: fresh <= ceiling regardless of the baseline.
-# A perf claim the repo makes unconditionally, not a drift guard.
-ABS_CEIL_GATES = {
-    "pipelined_vs_sync_makespan_ratio": 0.75,
-    "warm_vs_cold_makespan_ratio": 1.05,
-    "row_cost_ratio": 4.0,
-}
-class WinRateGate:
-    """Absolute gate for bench_matrix (scenario-grid chaos harness) JSONs.
 
-    Unlike the drift gates above, nothing here is relative to the
-    committed baseline: the grid's claims hold on every machine or the
-    gate fails. Three clauses:
-
-    * ``win_rate >= FLOOR`` -- PLB-HeC beats-or-ties the best baseline
-      on at least this fraction of grid cells (committed smoke baseline
-      sits at 0.45; the floor leaves one cell of cross-compiler slack).
-    * ``lost_grain_violations == 0`` and every row's ``lost_grains == 0``
-      -- faults may requeue in-flight work, never lose it.
-    * ``replay_identical`` is true -- the harness's own proof that a
-      cell re-run from its id reproduces its row byte-for-byte.
-
-    Every offending cell's replay command is printed so a CI failure
-    reproduces locally with one copy-paste.
-    """
-
-    FLOOR = 0.40
-
-    @staticmethod
-    def _replay(row):
-        return row.get("replay", "./build/bench/bench_matrix --cell '%s'"
-                       % row.get("cell", "?"))
-
-    def check(self, doc, errors):
-        rows = doc.get("rows")
-        missing = [k for k in ("win_rate", "lost_grain_violations",
-                               "replay_identical", "rows")
-                   if k not in doc]
-        if missing or not isinstance(rows, list):
-            fail(errors, "bench_matrix",
-                 f"summary keys missing or malformed: {missing or 'rows'}")
-            return
-        if doc["lost_grain_violations"] != 0:
-            fail(errors, "bench_matrix",
-                 f"{doc['lost_grain_violations']} lost-grain violation(s)")
-        for row in rows:
-            if row.get("lost_grains", 0) != 0:
-                fail(errors, f"bench_matrix.{row.get('cell', '?')}",
-                     f"{row['lost_grains']} grain(s) lost; replay: "
-                     f"{self._replay(row)}")
-        if not doc["replay_identical"]:
-            fail(errors, "bench_matrix",
-                 "replay_identical is false: a cell re-run from its id "
-                 "diverged from its row; replay: " +
-                 (self._replay(rows[0]) if rows else "?"))
-        if doc["win_rate"] < self.FLOOR:
-            fail(errors, "bench_matrix",
-                 f"win_rate {doc['win_rate']:.2f} below absolute floor "
-                 f"{self.FLOOR:.2f}; losing cells:")
-            for row in rows:
-                if not row.get("plb_win", False):
-                    fail(errors, f"bench_matrix.{row.get('cell', '?')}",
-                         f"plb/best={row.get('plb_vs_best', float('nan')):.3f}"
-                         f" vs {row.get('best_baseline', '?')}; replay: "
-                         f"{self._replay(row)}")
+MATRIX, KDISP = ("bench_matrix",), ("bench_kdisp",)
+GATES = [
+    Row("benchmark n samples lanes units samples_per_unit curve_n", "same",
+        None, "sweep shape: a silently shrunk sweep fails"),
+    Row("jobs seed trace_kinds trace_priorities trace10k_jobs", "same", None,
+        "the fixed-seed arrival traces replay structurally unchanged"),
+    Row("dist_n dist_total_grains dist_grains_counted kill_grains "
+        "kill_executed_grains", "same", None, "every grain is accounted for"),
+    Row("transfer_samples payload_min_bytes payload_max_bytes", "same", None,
+        "the G_p(x) transfer sweep keeps its sizes"),
+    Row("pipeline_depth pipeline_units pipeline_grains pipeline_chunk_grains "
+        "pipeline_kill_executed_grains", "same", None, "pipeline leg shape"),
+    Row("cell cells mode schedulers tie_tolerance total_grains replay",
+        "same", None, "chaos grid cells, grid shape and scheduler roster"),
+    Row("family variants", "same", None, "kernel families and ISA variants"),
+    Row("hardware_concurrency *_us *gflops", "type", None,
+        "machine-dependent: core count and absolute timings"),
+    Row("speedup", "floor", 0.20,
+        "the optimized path still beats its reference several-fold"),
+    Row("overhead_ratio parallel_speedup cache_speedup", "floor", 0.05,
+        "pool dispatch, fit fan-out and the fit cache still pay off"),
+    Row("probing_saved_ratio", "floor", 0.25,
+        "the warm start still saves the cold run's probing blocks"),
+    Row("transfer_r2", "floor", 0.75,
+        "G_p(x) still fits the measured loopback wire timings"),
+    Row("max_rel_diff max_abs_diff", "ceil", 100.0,
+        "the residual against the reference has not blown up", slack=1e-6),
+    Row("stretch_p50 stretch_p95 stretch_p99 queue_wait_p50 queue_wait_p95 "
+        "queue_wait_p99", "ceil", 1.5, "10k-trace tails (virtual time); the "
+        "slack absorbs near-zero waits", slack=1.0),
+    Row("pipelined_vs_sync_makespan_ratio", "max", 0.75,
+        "the pipelined window beats the depth-1 round-trip by >= 25%"),
+    Row("warm_vs_cold_makespan_ratio", "max", 1.05,
+        "a warm start never costs more than 5% makespan over the cold run"),
+    Row("row_cost_ratio", "max", 4.0, "a 1-row GEMM call costs <= 4x a row "
+        "of the full product (~15x if B is repacked per call)"),
+    Row("lost_grains pipeline_lost_grains", "eq", 0,
+        "a fault may requeue work but never lose a grain"),
+    Row("bit_identical pipeline_bit_identical", "eq", True,
+        "the distributed product is bit-identical to the local one"),
+    Row("demoted pipeline_demoted", "eq", True,
+        "the frozen worker is detected and demoted"),
+    Row("pipeline_grains_exact", "eq", True,
+        "both pipeline legs executed and verified every grain"),
+    Row("replay_identical", "eq", True, "a re-run from the seed or cell id "
+        "reproduces its result", bench=("bench_service", "bench_matrix")),
+    Row("lost_grain_violations", "eq", 0, "no grid cell lost a grain",
+        bench=MATRIX),
+    Row("win_rate", "min", 0.40, "PLB-HeC beats or ties the best baseline on "
+        ">= 40% of the grid cells", bench=MATRIX),
+    Row("cpu_r2|gpu_r2", "min", 0.95, "each family fits its device curve on "
+        "at least one unit class", bench=KDISP),
+    Row("distinct_subsets", "min", 2,
+        "the families are not copies of one profile", bench=KDISP),
+    Row("isa_identical", "eq", True,
+        "reduction families are byte-identical across ISA variants",
+        bench=KDISP),
+    Row("best_isa_speedup", "min", 1.3, "on a SIMD host the best variant "
+        "beats forced-scalar by >= 1.3x", bench=KDISP, when="simd_host"),
+]
+RESULTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "bench", "results")
 
 
-class KdispGate:
-    """Absolute gate for bench_kdisp (kernel-dispatch registry) JSONs.
-
-    The repo's dispatch claims hold on every machine, not relative to
-    the committed baseline:
-
-    * every family fits its simulated device curve with ``R^2 >=
-      R2_FLOOR`` on at least one unit class (CPU or GPU) -- the profile
-      fitter can actually learn each family's curve;
-    * ``distinct_subsets >= SUBSET_FLOOR`` -- the families are not four
-      copies of one profile: at least two different winning basis
-      subsets appear across {spmv, stencil, nbody, matmul};
-    * ``isa_identical`` is true -- the reduction families produced
-      byte-identical results under forced-scalar and best-ISA dispatch
-      (gemm is the documented FMA exception, checked by its
-      ``max_rel_diff`` residual ceiling instead);
-    * on a host with vector units (``simd_host``), the best registered
-      variant beats forced-scalar by ``best_isa_speedup >=
-      SPEEDUP_FLOOR`` on at least one family. Scalar-only hosts skip
-      this clause: there the best variant *is* the scalar one.
-    """
-
-    R2_FLOOR = 0.95
-    SUBSET_FLOOR = 2
-    SPEEDUP_FLOOR = 1.3
-
-    def check(self, doc, errors):
-        missing = [k for k in ("fit", "distinct_subsets", "best_isa_speedup",
-                               "isa_identical", "simd_host")
-                   if k not in doc]
-        if missing or not isinstance(doc.get("fit"), list):
-            fail(errors, "bench_kdisp",
-                 f"summary keys missing or malformed: {missing or 'fit'}")
-            return
-        for row in doc["fit"]:
-            best = max(row.get("cpu_r2", 0.0), row.get("gpu_r2", 0.0))
-            if best < self.R2_FLOOR:
-                fail(errors, f"bench_kdisp.{row.get('family', '?')}",
-                     f"no unit class fits with R^2 >= {self.R2_FLOOR} "
-                     f"(best {best:.3f})")
-        if doc["distinct_subsets"] < self.SUBSET_FLOOR:
-            fail(errors, "bench_kdisp",
-                 f"only {doc['distinct_subsets']} distinct winning basis "
-                 f"subset(s) across the families (need "
-                 f">= {self.SUBSET_FLOOR})")
-        if not doc["isa_identical"]:
-            fail(errors, "bench_kdisp",
-                 "isa_identical is false: a reduction family's forced-scalar "
-                 "and best-ISA variants diverged byte-wise")
-        if doc["simd_host"] and doc["best_isa_speedup"] < self.SPEEDUP_FLOOR:
-            fail(errors, "bench_kdisp",
-                 f"best-ISA speedup {doc['best_isa_speedup']:.2f} below "
-                 f"absolute floor {self.SPEEDUP_FLOOR} on a SIMD host")
-
-
-# Machine-dependent values: type-checked only.
-IGNORED_SUFFIXES = ("_us", "gflops")
-IGNORED_KEYS = {"hardware_concurrency", "reps", "genes", "events"}
-# Sweep-identity keys: must be exactly equal.
-IDENTITY_KEYS = {"n", "samples", "lanes", "units", "samples_per_unit",
-                 "benchmark", "compiled_in", "makespan_equal",
-                 "jobs", "seed", "trace_kinds", "trace_priorities",
-                 "replay_identical", "trace10k_jobs",
-                 "curve_n", "dist_n", "kill_grains", "transfer_samples",
-                 "payload_min_bytes", "payload_max_bytes",
-                 "bit_identical", "dist_total_grains",
-                 "dist_grains_counted", "lost_grains", "demoted",
-                 "kill_executed_grains",
-                 "pipeline_depth", "pipeline_units", "pipeline_grains",
-                 "pipeline_chunk_grains", "pipeline_grains_exact",
-                 "pipeline_bit_identical", "pipeline_demoted",
-                 "pipeline_lost_grains",
-                 "pipeline_kill_executed_grains",
-                 # bench_matrix grid identity: the cells themselves, the
-                 # grid shape and the scheduler roster may not silently
-                 # change (makespans and win bits may drift; the absolute
-                 # WinRateGate below owns those).
-                 "cell", "cells", "mode", "schedulers", "tie_tolerance",
-                 "total_grains", "replay",
-                 # bench_kdisp identity: the family roster and the
-                 # cross-variant bit-identity claim hold on every machine
-                 # (per-variant timings and resolved ISAs do not and are
-                 # left unkeyed).
-                 "family", "isa_identical", "variants"}
-
-
-def fail(errors, path, message):
-    errors.append(f"  {path}: {message}")
-
-
-def is_ignored(key):
-    return key in IGNORED_KEYS or any(key.endswith(s) for s in IGNORED_SUFFIXES)
-
-
-def compare(base, fresh, path, errors):
-    if type(base) is not type(fresh) and not (
-            isinstance(base, (int, float)) and isinstance(fresh, (int, float))):
-        fail(errors, path, f"type changed: {type(base).__name__} -> "
-                           f"{type(fresh).__name__}")
-        return
-    if isinstance(base, dict):
-        if set(base) != set(fresh):
-            missing = sorted(set(base) - set(fresh))
-            extra = sorted(set(fresh) - set(base))
-            fail(errors, path, f"keys changed (missing={missing}, "
-                               f"extra={extra})")
-            return
-        for key in base:
-            compare(base[key], fresh[key], f"{path}.{key}", errors)
-        return
-    if isinstance(base, list):
-        if len(base) != len(fresh):
-            fail(errors, path, f"sweep length {len(base)} -> {len(fresh)}")
-            return
-        for i, (b, f) in enumerate(zip(base, fresh)):
-            compare(b, f, f"{path}[{i}]", errors)
-        return
-
-    key = path.rsplit(".", 1)[-1].split("[")[0]
-    if key in IDENTITY_KEYS:
-        if base != fresh:
-            fail(errors, path, f"identity value changed: {base!r} -> "
-                               f"{fresh!r}")
-        return
-    if is_ignored(key):
-        return
-    if key in RATIO_GATES:
-        _, factor = RATIO_GATES[key]
-        floor = factor * base
-        if fresh < floor:
-            fail(errors, path, f"ratio collapsed: {fresh:.3g} < "
-                               f"{floor:.3g} (= {factor} x baseline "
-                               f"{base:.3g})")
-        return
-    if key in CEIL_GATES:
-        ceiling = max(CEIL_GATES[key], 100.0 * base) \
-            if key.startswith("max_") else max(CEIL_GATES[key], 2.0 * base)
-        if fresh > ceiling:
-            fail(errors, path, f"residual blew up: {fresh:.3g} > "
-                               f"{ceiling:.3g} (baseline {base:.3g})")
-        return
-    if key in TAIL_GATES:
-        abs_slack, factor = TAIL_GATES[key]
-        ceiling = max(abs_slack, factor * base)
-        if fresh > ceiling:
-            fail(errors, path, f"tail regressed: {fresh:.3g} > "
-                               f"{ceiling:.3g} (= max({abs_slack}, "
-                               f"{factor} x baseline {base:.3g}))")
-        return
-    if key in ABS_CEIL_GATES:
-        ceiling = ABS_CEIL_GATES[key]
-        if fresh > ceiling:
-            fail(errors, path, f"perf claim broken: {fresh:.3g} > "
-                               f"{ceiling:.3g} (absolute ceiling; "
-                               f"baseline {base:.3g})")
-        return
-    # Unknown numeric/string key: tolerated, so adding new fields to a
-    # bench JSON does not require touching this gate (removing fields
-    # still fails the structural check above).
+def named(fields, spec):
+    """The fields a key spec names ("a|b", globs allowed)."""
+    return [k for k in fields
+            if any(fnmatchcase(k, p) for p in spec.split("|"))]
 
 
 def check_pair(base, fresh, label):
-    """Full gate for one baseline/fresh pair: structural + drift
-    compare, plus the absolute WinRateGate for bench_matrix JSONs.
-    Returns the list of violation messages (empty = pass)."""
+    """Structural compare plus every row of GATES scoped to this JSON.
+    Returns [(gate, message)], where gate is the (row, key spec) that
+    failed or None for a structural break or a missing field; empty =
+    pass. A failure inside a list element with a "replay" field prints
+    that command."""
+    bench = fresh.get("benchmark") if isinstance(fresh, dict) else None
+    rows = [r for r in GATES if r.bench is None or bench in r.bench]
     errors = []
-    compare(base, fresh, label, errors)
-    if fresh.get("benchmark") == "bench_matrix":
-        WinRateGate().check(fresh, errors)
-    if fresh.get("benchmark") == "bench_kdisp":
-        KdispGate().check(fresh, errors)
+
+    def compare(base, fresh, path, hint):
+        def fail(gate, where, message):
+            errors.append((gate, f"  {where}: {message}{hint}"))
+
+        if type(base) is not type(fresh) and not (
+                isinstance(base, (int, float)) and
+                isinstance(fresh, (int, float))):
+            fail(None, path, f"type changed: {type(base).__name__} -> "
+                             f"{type(fresh).__name__}")
+            return
+        if isinstance(base, list):
+            if len(base) != len(fresh):
+                fail(None, path, f"sweep length {len(base)} -> {len(fresh)}")
+                return
+            for i, (b, f) in enumerate(zip(base, fresh)):
+                cell = isinstance(f, dict) and "replay" in f
+                compare(b, f, f"{path}[{i}]",
+                        f"; replay: {f['replay']}" if cell else hint)
+            return
+        if not isinstance(base, dict):
+            return
+        if set(base) != set(fresh):
+            fail(None, path, f"keys changed (missing="
+                             f"{sorted(set(base) - set(fresh))}, extra="
+                             f"{sorted(set(fresh) - set(base))})")
+            return
+        for key in base:
+            compare(base[key], fresh[key], f"{path}.{key}", hint)
+        for row in rows:
+            for spec in row.key.split():
+                names = named(fresh, spec)
+                if not names or row.when and not fresh.get(row.when):
+                    continue
+                holds, bound = KINDS[row.kind]
+                if not any(holds(fresh[k], base[k], row) for k in names):
+                    shown = ", ".join(f"{k}={fresh[k]!r}" for k in names)
+                    bound = bound.format(b=base[names[0]], r=row)
+                    fail((row, spec), path,
+                         f"{shown} breaks {bound} -- {row.reason}")
+
+    compare(base, fresh, label, "")
+    present = set(field_names(fresh))
+    for row in rows:
+        for spec in row.key.split() if row.bench else ():
+            if not named(present, spec):
+                errors.append((None, f"  {label}: {spec} missing -- "
+                                     f"{row.reason}"))
     return errors
 
 
@@ -383,12 +196,41 @@ def load_json(path, role):
                       "(truncated write or non-JSON output?)")
 
 
-def self_test():
-    """Pytest-free sanity check of the gate itself (run by CI).
+def field_names(doc):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from field_names(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from field_names(value)
 
-    Each case runs compare() on a baseline/fresh pair and asserts whether
-    it must flag a violation. Catches regressions in the gate logic
-    before a silently-green gate waves a real regression through.
+
+def dead_specs():
+    """Key specs of GATES that no committed baseline of their benches
+    carries: such a row can never fire."""
+    fields = {}
+    for name in sorted(os.listdir(RESULTS)):
+        if name.endswith(".json"):
+            doc, _ = load_json(os.path.join(RESULTS, name), "baseline")
+            fields[doc["benchmark"]] = set(field_names(doc))
+    dead = []
+    for row in GATES:
+        pool = set().union(*(fields.get(b, ()) for b in row.bench or fields))
+        dead += [p for spec in row.key.split() for p in spec.split("|")
+                 if not named(pool, p)]
+    return dead
+
+
+def self_test():
+    """Pytest-free sanity check of the gate itself (run by ctest and CI).
+
+    Each case runs check_pair() on a baseline/fresh pair and asserts
+    whether it must flag a violation. Catches regressions in the gate
+    logic before a silently-green gate waves a real regression through.
+    Two guards keep the table honest: every key of GATES occurs in a
+    committed baseline, and every bound-carrying key spec is flagged by
+    at least one must-flag case.
     """
     baseline = {
         "benchmark": "bench_service",
@@ -424,9 +266,7 @@ def self_test():
     }
 
     def variant(**overrides):
-        fresh = dict(baseline)
-        fresh.update(overrides)
-        return fresh
+        return dict(baseline, **overrides)
 
     dropped = dict(baseline)
     del dropped["probing_saved_ratio"]
@@ -488,8 +328,7 @@ def self_test():
          variant(trace10k_order_digest="0000000000000000"), False),
         ("shrunk 10k trace fails", variant(trace10k_jobs=1000), True),
     ]
-    # bench_matrix cases exercise the absolute WinRateGate on top of the
-    # structural compare, via the same check_pair() entry point main uses.
+
     def matrix_row(cell, win, vs_best, lost=0):
         return {"cell": cell, "units": 4, "total_grains": 8192,
                 "plb_win": win, "plb_vs_best": vs_best,
@@ -508,50 +347,38 @@ def self_test():
         "rows": [matrix_row("u4-mild/regular/none@1", True, 0.97),
                  matrix_row("u8-extreme/mixed/kill1@1", False, 1.1)],
     }
-
-    def matrix_variant(rows=None, **overrides):
-        fresh = dict(matrix_base)
-        if rows is not None:
-            fresh["rows"] = rows
-        fresh.update(overrides)
-        return fresh
-
     matrix_cases = [
-        ("identical matrix passes", matrix_variant(), False),
+        ("identical matrix passes", dict(matrix_base), False),
         ("makespan drift in a row passes",
-         matrix_variant(rows=[matrix_row("u4-mild/regular/none@1", True,
-                                         0.99),
-                              matrix_base["rows"][1]]), False),
+         dict(matrix_base, rows=[matrix_row("u4-mild/regular/none@1", True,
+                                            0.99),
+                                 matrix_base["rows"][1]]), False),
         ("win_rate above absolute floor passes even below baseline",
-         matrix_variant(wins=1, win_rate=0.45), False),
+         dict(matrix_base, wins=1, win_rate=0.45), False),
         ("win_rate below 0.40 floor fails",
-         matrix_variant(wins=0, win_rate=0.3,
-                        rows=[matrix_row("u4-mild/regular/none@1", False,
-                                         1.05),
-                              matrix_base["rows"][1]]), True),
+         dict(matrix_base, wins=0, win_rate=0.3,
+              rows=[matrix_row("u4-mild/regular/none@1", False, 1.05),
+                    matrix_base["rows"][1]]), True),
         ("lost-grain violation count fails",
-         matrix_variant(lost_grain_violations=1), True),
+         dict(matrix_base, lost_grain_violations=1), True),
         ("per-row lost grain fails",
-         matrix_variant(rows=[matrix_base["rows"][0],
-                              matrix_row("u8-extreme/mixed/kill1@1", False,
-                                         1.1, lost=3)]), True),
+         dict(matrix_base, rows=[matrix_base["rows"][0],
+                                 matrix_row("u8-extreme/mixed/kill1@1",
+                                            False, 1.1, lost=3)]), True),
         ("diverged cell replay fails",
-         matrix_variant(replay_identical=False), True),
+         dict(matrix_base, replay_identical=False), True),
         ("renamed cell fails identity",
-         matrix_variant(rows=[matrix_row("u4-extreme/regular/none@1", True,
-                                         0.97),
-                              matrix_base["rows"][1]]), True),
+         dict(matrix_base, rows=[matrix_row("u4-extreme/regular/none@1",
+                                            True, 0.97),
+                                 matrix_base["rows"][1]]), True),
         ("shrunk grid fails structurally",
-         matrix_variant(rows=[matrix_base["rows"][0]]), True),
+         dict(matrix_base, rows=[matrix_base["rows"][0]]), True),
         ("changed scheduler roster fails identity",
-         matrix_variant(schedulers="PLB-HeC,HDSS"), True),
+         dict(matrix_base, schedulers="PLB-HeC,HDSS"), True),
         ("loosened tie tolerance fails identity",
-         matrix_variant(tie_tolerance=0.1), True),
+         dict(matrix_base, tie_tolerance=0.1), True),
     ]
 
-    # bench_kdisp cases exercise the absolute KdispGate: the R^2 floor,
-    # the distinct-subset floor, the cross-variant identity claim and the
-    # SIMD-host speedup floor (skipped on scalar-only hosts).
     def kdisp_fit_row(family, cpu_r2, gpu_r2):
         return {"family": family, "curve_n": 24, "cpu_r2": cpu_r2,
                 "cpu_terms": "1+x", "gpu_r2": gpu_r2,
@@ -576,68 +403,81 @@ def self_test():
         ],
         "best_isa_speedup": 2.3, "isa_identical": True,
     }
-
-    def kdisp_variant(fit=None, **overrides):
-        fresh = dict(kdisp_base)
-        if fit is not None:
-            fresh["fit"] = fit
-        fresh.update(overrides)
-        return fresh
-
     kdisp_cases = [
-        ("identical kdisp passes", kdisp_variant(), False),
+        ("identical kdisp passes", dict(kdisp_base), False),
         ("resolved ISA and timings may differ per machine",
-         kdisp_variant(host_isa="avx2", effective_isa="scalar",
-                       best_isa_speedup=1.4), False),
+         dict(kdisp_base, host_isa="avx2", effective_isa="scalar",
+              best_isa_speedup=1.4), False),
         ("family R^2 below floor on both classes fails",
-         kdisp_variant(fit=[kdisp_fit_row("spmv", 0.8, 0.9)] +
-                       kdisp_base["fit"][1:]), True),
+         dict(kdisp_base, fit=[kdisp_fit_row("spmv", 0.8, 0.9)] +
+              kdisp_base["fit"][1:]), True),
         ("low CPU R^2 passes while the GPU class fits",
-         kdisp_variant(fit=[kdisp_fit_row("spmv", 0.5, 0.99)] +
-                       kdisp_base["fit"][1:]), False),
+         dict(kdisp_base, fit=[kdisp_fit_row("spmv", 0.5, 0.99)] +
+              kdisp_base["fit"][1:]), False),
         ("collapsed subset diversity fails",
-         kdisp_variant(distinct_subsets=1), True),
+         dict(kdisp_base, distinct_subsets=1), True),
         ("diverged reduction-family results fail",
-         kdisp_variant(isa_identical=False), True),
+         dict(kdisp_base, isa_identical=False), True),
         ("speedup under floor on a SIMD host fails",
-         kdisp_variant(best_isa_speedup=1.1), True),
+         dict(kdisp_base, best_isa_speedup=1.1), True),
         ("speedup ~1 on a scalar-only host passes",
-         kdisp_variant(simd_host=False, best_isa_speedup=1.0), False),
+         dict(kdisp_base, simd_host=False, best_isa_speedup=1.0), False),
         ("blown-up gemm residual fails",
-         kdisp_variant(kernels=[kdisp_base["kernels"][0],
-                                dict(kdisp_base["kernels"][1],
-                                     max_rel_diff=0.5)]), True),
+         dict(kdisp_base, kernels=[kdisp_base["kernels"][0],
+                                   dict(kdisp_base["kernels"][1],
+                                        max_rel_diff=0.5)]), True),
         ("renamed family fails identity",
-         kdisp_variant(fit=[kdisp_fit_row("spmv2", 1.0, 0.99)] +
-                       kdisp_base["fit"][1:]), True),
+         dict(kdisp_base, fit=[kdisp_fit_row("spmv2", 1.0, 0.99)] +
+              kdisp_base["fit"][1:]), True),
         ("shrunk variant roster fails identity",
-         kdisp_variant(variants=9), True),
+         dict(kdisp_base, variants=9), True),
     ]
 
-    failures = 0
-    for table, base_doc in ((cases, baseline), (matrix_cases, matrix_base),
-                            (kdisp_cases, kdisp_base)):
+    # Drift floors and tail ceilings the tables above leave unexercised:
+    # each perturbation alone must trip its row.
+    drift_base = {"overhead_ratio": 96.3, "parallel_speedup": 1.0,
+                  "cache_speedup": 1257.4, "max_abs_diff": 0.0,
+                  "stretch_p50": 6.5, "stretch_p95": 3388.0,
+                  "queue_wait_p50": 0.21, "queue_wait_p95": 193.3}
+    drift_cases = [(f"{key}={value} fails", dict(drift_base, **{key: value}),
+                    True) for key, value in (
+        ("overhead_ratio", 4.0), ("parallel_speedup", 0.04),
+        ("cache_speedup", 50.0), ("max_abs_diff", 1e-3),
+        ("stretch_p50", 10.0), ("stretch_p95", 5100.0),
+        ("queue_wait_p50", 1.2), ("queue_wait_p95", 300.0))]
+
+    results, fired = [], set()
+    for base_doc, table in ((baseline, cases), (matrix_base, matrix_cases),
+                            (kdisp_base, kdisp_cases),
+                            (drift_base, drift_cases)):
         for label, fresh, must_flag in table:
-            flagged = bool(check_pair(base_doc, fresh, "self-test"))
-            status = "ok" if flagged == must_flag else "FAIL"
-            if flagged != must_flag:
-                failures += 1
-            print(f"  {status}: {label} (flagged={flagged}, "
-                  f"expected={must_flag})")
+            errors = check_pair(base_doc, fresh, "self-test")
+            if must_flag:
+                fired.update(gate for gate, _ in errors if gate)
+            results.append((f"{label} (flagged={bool(errors)}, "
+                            f"expected={must_flag})",
+                            bool(errors) == must_flag))
 
     # The missing-file path must fail loudly, not crash.
     rc = main(["check_bench.py", "/nonexistent-baseline.json",
                "/nonexistent-fresh.json"])
-    status = "ok" if rc == 1 else "FAIL"
-    if rc != 1:
-        failures += 1
-    print(f"  {status}: missing bench JSON exits 1 (rc={rc})")
+    results.append((f"missing bench JSON exits 1 (rc={rc})", rc == 1))
+    unflagged = [spec for row in GATES if row.kind not in ("same", "type")
+                 for spec in row.key.split() if (row, spec) not in fired]
+    results.append((f"every bound is flagged by a case (unflagged: "
+                    f"{unflagged})", not unflagged))
+    dead = dead_specs()
+    results.append((f"every gate key occurs in a committed baseline "
+                    f"(dead: {dead})", not dead))
 
-    total = len(cases) + len(matrix_cases) + len(kdisp_cases) + 1
+    failures = 0
+    for label, ok in results:
+        failures += not ok
+        print(f"  {'ok' if ok else 'FAIL'}: {label}")
     if failures:
         print(f"self-test FAILED ({failures} case(s))")
         return 1
-    print(f"self-test OK ({total} cases)")
+    print(f"self-test OK ({len(results)} cases)")
     return 0
 
 
@@ -662,7 +502,7 @@ def main(argv):
         errors = check_pair(base, fresh, base.get("benchmark", base_path))
         if errors:
             print(f"FAIL {fresh_path} regressed against {base_path}:")
-            print("\n".join(errors))
+            print("\n".join(message for _, message in errors))
             failures += 1
         else:
             print(f"OK   {fresh_path} within tolerance of {base_path}")
